@@ -226,7 +226,7 @@ def cmd_poset(args) -> int:
     report = order_equivalence_report(poset)
     if not report.consistent:
         raise InternalCheckError(f"order equivalence failed: {report.counterexamples}")
-    top = dense_orbit(q, dims, guard=guard, seed=args.seed)
+    top = dense_orbit(q, dims, seed=args.seed, nodes=poset.nodes)
     if not all(nd.rank.leq(top.rank) for nd in poset.nodes):
         raise InternalCheckError("dense orbit cross-check failed")
     if args.format == "dot":

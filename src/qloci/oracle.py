@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 
-from .errors import GuardExceededError, InputError
+from .errors import GuardExceededError, InputError, InternalCheckError
 from .fields import PrimeField
 from .matrices import ExactMatrix
 from .perms import Permutation, inversion_length
@@ -138,7 +138,10 @@ def gl_elements(k: int, p: int):
                     nxt.append(prod)
         frontier = nxt
     out = list(elems.values())
-    assert len(out) == gl_order(k, p)
+    if len(out) != gl_order(k, p):
+        raise InternalCheckError(
+            f"generator closure gave {len(out)} elements, |GL_{k}(F_{p})| = {gl_order(k, p)}"
+        )
     return out
 
 

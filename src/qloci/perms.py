@@ -166,36 +166,37 @@ def zelevinsky_permutation(b, blocks: BlockSpec) -> Permutation:
 
     Sweeping blocks in reading order and greedily assigning the lowest
     unused row of the block row and lowest unused column of the block
-    column realizes that arrangement.
+    column realizes that arrangement.  Second differences come from the
+    current and the previous row of block ranks (zero above and left).
     """
     nb = len(blocks.row_sizes)
     if len(blocks.col_sizes) != nb or nb != 2 * b.n + 1:
         raise ShapeError("block spec does not match the block rank matrix")
-    d = blocks.total
-    word = [0] * d
-    row_starts = blocks.row_starts
-    col_starts = blocks.col_starts
-    next_row = list(row_starts)  # next free row per block row
-    free_cols = [list(range(col_starts[j], col_starts[j] + blocks.col_sizes[j])) for j in range(nb)]
-    used_cols = [0] * nb
-    for bi in range(1, nb + 1):
-        for bj in range(1, nb + 1):
-            count = b.block_count(bi, bj)
-            if count < 0:
-                raise InputError(f"negative block count at ({bi},{bj})")
-            if count == 0:
+    word = [0] * blocks.total
+    next_col = list(blocks.col_starts)  # next free column per block column
+    col_ends = [start + size for start, size in zip(next_col, blocks.col_sizes)]
+    prev = (0,) * nb
+    for bi, (cur, row, size) in enumerate(
+        zip(b.entries, blocks.row_starts, blocks.row_sizes), start=1
+    ):
+        row_end = row + size
+        left = up_left = 0
+        for bj, (here, up) in enumerate(zip(cur, prev)):
+            count = here + up_left - left - up
+            left, up_left = here, up
+            if count <= 0:
+                if count < 0:
+                    raise InputError(f"negative block count at ({bi},{bj + 1})")
                 continue
-            cols = free_cols[bj - 1]
-            if used_cols[bj - 1] + count > len(cols):
-                raise InputError(f"block column {bj} cannot hold {count} more 1s")
-            if next_row[bi - 1] + count - 1 >= row_starts[bi - 1] + blocks.row_sizes[bi - 1]:
+            col = next_col[bj]
+            if col + count > col_ends[bj]:
+                raise InputError(f"block column {bj + 1} cannot hold {count} more 1s")
+            if row + count > row_end:
                 raise InputError(f"block row {bi} cannot hold {count} more 1s")
-            for _ in range(count):
-                r = next_row[bi - 1]
-                c = cols[used_cols[bj - 1]]
-                word[r - 1] = c
-                next_row[bi - 1] += 1
-                used_cols[bj - 1] += 1
+            word[row - 1 : row - 1 + count] = range(col, col + count)
+            row += count
+            next_col[bj] = col + count
+        prev = cur
     if 0 in word:
         raise InputError("block counts do not fill the permutation")
     return Permutation(tuple(word))
@@ -203,14 +204,21 @@ def zelevinsky_permutation(b, blocks: BlockSpec) -> Permutation:
 
 def length_from_blocks(b) -> int:
     """Length of the block permutation straight from the block rank matrix:
-    over all blocks, (1s strictly northeast) times (1s inside)."""
-    k = 2 * b.n + 1
+    over all blocks, (1s strictly northeast) times (1s inside).
+
+    The block count of (i, j) is the second difference of rows i-1 and i;
+    the 1s strictly northeast of it number prev[-1] - prev[j].
+    """
+    rows = b.entries
     total = 0
-    for i in range(2, k + 1):
-        for j in range(1, k):
-            ne = b.entry(i - 1, k) - b.entry(i - 1, j)
+    for prev, cur in zip(rows, rows[1:]):
+        last = prev[-1]
+        left = up_left = 0
+        for here, up in zip(cur, prev[:-1]):
+            ne = last - up
             if ne:
-                total += ne * b.block_count(i, j)
+                total += ne * (here + up_left - left - up)
+            left, up_left = here, up
     return total
 
 

@@ -22,7 +22,9 @@ from .quiver import BipartiteQuiver, DimensionVector, check_dims, d_x, d_y, inte
 from .reps import LaceArray, RankArray, Representation, lace_to_rank, rank_array
 from .zelevinsky import BlockRankMatrix, block_rank_symbolic, layout_for
 
-DEFAULT_LACE_GUARD = 10**18
+# Ceiling on the lace-search nodes visited; the search visits a few nodes
+# per orbit it finds (about 8 for dims 3^5 or 2^7).
+DEFAULT_LACE_GUARD = 10**7
 
 
 @dataclass(frozen=True)
@@ -50,33 +52,27 @@ class DegenerationPoset:
     covers: tuple[tuple[int, int], ...]
 
 
-def _lace_guard_value(q: BipartiteQuiver, dims: DimensionVector) -> int:
-    table = interval_table(q.n)
-    total = 1
-    for p in range(table.vertex_count):
-        total *= (dims[p] + 1) ** (len(table.coverage[p]) + 1)
-    return total
-
-
 def iter_lace_values(q: BipartiteQuiver, dims: DimensionVector, guard: int = DEFAULT_LACE_GUARD):
     """Yield every multiplicity tuple with the prescribed per-vertex totals.
 
     Depth-first over intervals sorted by left endpoint; once the scan passes
-    a vertex, its remaining capacity must be exactly zero.
+    a vertex, its remaining capacity must be exactly zero.  The guard bounds
+    the search nodes actually visited: GuardExceededError is raised as soon
+    as the count passes it.
     """
     check_dims(q, dims)
-    bound = _lace_guard_value(q, dims)
-    if bound > guard:
-        raise GuardExceededError(
-            f"lace search space bound {bound} exceeds the guard {guard}"
-        )
     table = interval_table(q.n)
     order = sorted(range(len(table)), key=lambda i: (table.intervals[i].lo, table.intervals[i].hi))
     spans = [(table.intervals[i].lo, table.intervals[i].hi) for i in order]
     remaining = list(dims.values)
     values = [0] * len(table)
+    visited = 0
 
     def rec(k: int, frontier: int):
+        nonlocal visited
+        visited += 1
+        if visited > guard:
+            raise GuardExceededError(f"lace search visited more than {guard} nodes")
         if k == len(order):
             if all(v == 0 for v in remaining[frontier:]):
                 yield tuple(values)
@@ -179,11 +175,16 @@ def dense_orbit(
     dims: DimensionVector,
     guard: int = DEFAULT_LACE_GUARD,
     seed: int = 0,
+    nodes=None,
 ) -> OrbitNode:
     """The unique maximal node, cross-checked against the rank array of a
     randomly sampled representation; one resample is allowed before failing.
+
+    ``nodes`` are the orbits of (q, dims) when the caller has enumerated
+    them already; otherwise they are enumerated here under the guard.
     """
-    nodes = enumerate_orbits(q, dims, guard)
+    if nodes is None:
+        nodes = enumerate_orbits(q, dims, guard)
     count = len(interval_table(q.n))
     best = tuple(max(node.rank.values[i] for node in nodes) for i in range(count))
     top = [node for node in nodes if node.rank.values == best]

@@ -11,6 +11,7 @@ symbolic one is the production path and the numeric one the validator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InputError, InvalidBlockRankError, ShapeError
 from .matrices import ExactMatrix, assemble_blocks, prefix_block_ranks
@@ -243,6 +244,9 @@ def _block_formula(n: int, dims: DimensionVector, i: int, j: int):
     span (empty when lo > hi).  Specializing over the four quadrants gives
     the forced cell values, the forced image values, and the four orbit
     families with their dimension offsets.
+
+    Neither part depends on the orbit, only on (n, dims): `_block_plan`
+    evaluates this once per block and dimension vector.
     """
     # rows present: y_0..y_ytop, and x_k for k >= xlow (xlow = n+1 means none)
     if i <= n + 1:
@@ -265,22 +269,43 @@ def _block_formula(n: int, dims: DimensionVector, i: int, j: int):
     return offset, edge_lo, edge_hi
 
 
-def block_rank_symbolic(r: RankArray, dims: DimensionVector) -> BlockRankMatrix:
-    """Fill the block rank matrix from the rank array alone."""
-    n = r.n
-    if len(dims) != 2 * n + 1:
-        raise InputError("dimension vector does not match the rank array")
+@lru_cache(maxsize=1)
+def _block_plan(n: int, dims: DimensionVector) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The block plan: `_block_formula` for every block, as a (2n+1) x (2n+1)
+    table of (offset, rank slot) pairs.
+
+    The slot indexes the rank array; -1 means the interval is empty and its
+    rank is forced to 0.  Only the latest (n, dims) is kept, since callers
+    sweep the orbits of one dimension vector at a time.
+    """
     table = interval_table(n)
     k = 2 * n + 1
-    rows = []
+    plan = []
     for i in range(1, k + 1):
         row = []
         for j in range(1, k + 1):
             offset, elo, ehi = _block_formula(n, dims, i, j)
-            slot = table.rank_slot_of_span(elo - 1, ehi)
-            row.append(offset + (r.values[slot] if slot >= 0 else 0))
-        rows.append(tuple(row))
-    return BlockRankMatrix(n, tuple(rows))
+            row.append((offset, table.rank_slot_of_span(elo - 1, ehi)))
+        plan.append(tuple(row))
+    return tuple(plan)
+
+
+def block_rank_symbolic(r: RankArray, dims: DimensionVector) -> BlockRankMatrix:
+    """Fill the block rank matrix from the rank array alone.
+
+    Entry (i, j) is offset + r[slot] for the (offset, slot) pair of the
+    block plan of (n, dims), with slot -1 reading 0.  The plan is cached for
+    the latest (n, dims), so a sweep over the orbits of one dimension vector
+    costs one pass over it per orbit.
+    """
+    n = r.n
+    if len(dims) != 2 * n + 1:
+        raise InputError("dimension vector does not match the rank array")
+    vals = (*r.values, 0)  # slot -1 reads the trailing 0
+    plan = _block_plan(n, dims)
+    return BlockRankMatrix(
+        n, tuple([tuple([offset + vals[slot] for offset, slot in row]) for row in plan])
+    )
 
 
 def recover_rank_array(b: BlockRankMatrix, dims: DimensionVector) -> RankArray:
@@ -293,12 +318,9 @@ def recover_rank_array(b: BlockRankMatrix, dims: DimensionVector) -> RankArray:
     vals: list[int | None] = [None] * len(table)
     for p in range(table.vertex_count):
         vals[p] = 0
-    k = 2 * n + 1
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            offset, elo, ehi = _block_formula(n, dims, i, j)
-            got = b.entry(i, j)
-            if elo > ehi:
+    for i, (plan_row, row) in enumerate(zip(_block_plan(n, dims), b.entries), start=1):
+        for j, ((offset, slot), got) in enumerate(zip(plan_row, row), start=1):
+            if slot < 0:
                 if got != offset:
                     raise InvalidBlockRankError(
                         f"forced entry at block ({i},{j}) should be {offset}, found {got}"
@@ -309,7 +331,6 @@ def recover_rank_array(b: BlockRankMatrix, dims: DimensionVector) -> RankArray:
                 raise InvalidBlockRankError(
                     f"entry at block ({i},{j}) is below its dimension offset"
                 )
-            slot = table.index[Interval(elo - 1, ehi)]
             if vals[slot] is None:
                 vals[slot] = val
             elif vals[slot] != val:

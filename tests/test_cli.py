@@ -143,6 +143,23 @@ def test_poset_json_single_node(tmp_path, capsys):
     assert payload["order_equivalence"]["consistent"]
 
 
+def test_poset_enumerates_once(tmp_path, capsys, monkeypatch):
+    import qloci.poset
+
+    calls = []
+    original = qloci.poset.enumerate_orbits
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qloci.poset, "enumerate_orbits", counting)
+    quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 2})
+    code, _, _ = run_main(capsys, ["poset", "--quiver", quiver, "--dims", "1,2,2,1,1"])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_poset_guard_exits_3(tmp_path, capsys):
     quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 2})
     code, _, err = run_main(

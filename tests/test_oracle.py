@@ -68,6 +68,15 @@ def test_brute_partition_zero_dims():
     assert census.sizes == (1,)
 
 
+def test_gl_elements_count_mismatch_is_a_typed_error(monkeypatch):
+    import qloci.oracle
+    from qloci.errors import InternalCheckError
+
+    monkeypatch.setattr(qloci.oracle, "gl_order", lambda k, p: 7)
+    with pytest.raises(InternalCheckError):
+        gl_elements(2, 2)
+
+
 def test_group_guard():
     q = BipartiteQuiver(1)
     d = DimensionVector.of(2, 2, 2)

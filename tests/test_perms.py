@@ -185,3 +185,36 @@ def test_essential_boxes_sit_in_block_corners():
     for node in enumerate_orbits(q, d):
         for (i, j) in essential_set(node.permutation):
             assert i in lay.row_cuts and j in lay.col_cuts
+
+
+def hand_built(*rows):
+    from qloci.zelevinsky import BlockRankMatrix
+
+    return BlockRankMatrix((len(rows) - 1) // 2, tuple(tuple(r) for r in rows))
+
+
+def test_zelevinsky_permutation_rejects_negative_block_count():
+    # block (1, 2) has second difference 0 + 0 - 1 - 0 = -1
+    b = hand_built((1, 0, 0), (1, 1, 1), (1, 2, 3))
+    with pytest.raises(InputError, match=r"negative block count at \(1,2\)"):
+        zelevinsky_permutation(b, BlockSpec((1, 1, 1), (1, 1, 1)))
+
+
+def test_zelevinsky_permutation_rejects_block_column_overflow():
+    # block (1, 1) asks for two 1s; its block row has room, its column not
+    b = hand_built((2, 2, 2), (2, 2, 3), (2, 3, 4))
+    with pytest.raises(InputError, match="block column 1 cannot hold 2 more 1s"):
+        zelevinsky_permutation(b, BlockSpec((2, 1, 1), (1, 1, 2)))
+
+
+def test_zelevinsky_permutation_rejects_block_row_overflow():
+    # block (1, 1) asks for two 1s; its block column has room, its row not
+    b = hand_built((2, 2, 2), (2, 2, 3), (2, 3, 4))
+    with pytest.raises(InputError, match="block row 1 cannot hold 2 more 1s"):
+        zelevinsky_permutation(b, BlockSpec((1, 1, 2), (2, 1, 1)))
+
+
+def test_zelevinsky_permutation_rejects_unfilled_permutation():
+    b = hand_built((0, 0, 0), (0, 0, 0), (0, 0, 0))
+    with pytest.raises(InputError, match="block counts do not fill the permutation"):
+        zelevinsky_permutation(b, BlockSpec((1, 1, 1), (1, 1, 1)))

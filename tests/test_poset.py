@@ -89,6 +89,14 @@ def test_dense_orbit_degenerate_dims():
     assert node.rank[Interval.from_edges(1, 1)] == 1
 
 
+def test_dense_orbit_reuses_given_nodes():
+    q = BipartiteQuiver(2)
+    d = DimensionVector.of(1, 2, 2, 1, 1)
+    nodes = enumerate_orbits(q, d)
+    assert dense_orbit(q, d, nodes=nodes) == dense_orbit(q, d)
+    assert dense_orbit(q, d, nodes=nodes) in nodes
+
+
 def test_orbit_dimensions_diamond():
     q, d = diamond()
     nodes = enumerate_orbits(q, d)
@@ -128,6 +136,21 @@ def test_guard_triggers():
     q = BipartiteQuiver(2)
     with pytest.raises(GuardExceededError):
         enumerate_orbits(q, DimensionVector.of(2, 2, 2, 2, 2), guard=10)
+
+
+def test_default_guard_admits_small_instance_with_huge_product_bound():
+    # the a-priori product bound of dims 3^5 is about 1.2e21, yet the search
+    # visits a few thousand nodes and finds 660 orbits
+    nodes = enumerate_orbits(BipartiteQuiver(2), DimensionVector.of(3, 3, 3, 3, 3))
+    assert len(nodes) == 660
+
+
+def test_guard_counts_visited_search_nodes():
+    # the search over the 6 intervals of n=1 visits 25 nodes for dims 1,1,1
+    q, d = BipartiteQuiver(1), DimensionVector.of(1, 1, 1)
+    assert len(list(iter_lace_values(q, d, guard=25))) == 4
+    with pytest.raises(GuardExceededError):
+        list(iter_lace_values(q, d, guard=24))
 
 
 def test_lace_values_cover_every_dimension_split():

@@ -235,3 +235,48 @@ def test_cell_matrix_validation():
         from qloci.zelevinsky import ZelevinskyCellMatrix
 
         ZelevinskyCellMatrix(bad, lay)
+
+
+def random_gf2_rep(q, d, rng):
+    mats = []
+    for e in q.edges():
+        rows, cols = d[q.head_pos(e)], d[q.tail_pos(e)]
+        mats.append(
+            ExactMatrix.from_rows(GF2, [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)])
+            if rows and cols
+            else ExactMatrix.zeros(GF2, rows, cols)
+        )
+    return Representation(q, d, tuple(mats))
+
+
+def test_block_plan_cache_switches_dims():
+    # the plan is cached for one (n, dims) at a time: alternate two dims
+    # vectors of the same n, then change n, and check every result against
+    # the per-entry closed form and the numeric route
+    from qloci.zelevinsky import _block_formula, _block_plan
+
+    rng = random.Random(17)
+    sequence = [
+        (2, 1, 2, 1, 1), (1, 2, 1, 2, 2), (2, 1, 2, 1, 1), (1, 2, 1, 2, 2),
+        (2, 1, 2), (2, 1, 2, 1, 1), (1, 2, 2, 1, 2, 1, 1),
+    ]
+    for dims in sequence:
+        n = (len(dims) - 1) // 2
+        q, d = BipartiteQuiver(n), DimensionVector(dims)
+        table = interval_table(n)
+        k = 2 * n + 1
+        for _ in range(3):
+            v = random_gf2_rep(q, d, rng)
+            r = rank_array(v)
+            want = []
+            for i in range(1, k + 1):
+                row = []
+                for j in range(1, k + 1):
+                    offset, elo, ehi = _block_formula(n, d, i, j)
+                    slot = table.rank_slot_of_span(elo - 1, ehi)
+                    row.append(offset + (r.values[slot] if slot >= 0 else 0))
+                want.append(tuple(row))
+            b = block_rank_symbolic(r, d)
+            assert b.entries == tuple(want)
+            assert b == block_rank_numeric(zelevinsky_map(v))
+    assert _block_plan.cache_info().currsize == 1
