@@ -19,8 +19,8 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .fields import DEFAULT_SAMPLING_PRIME, Field, FieldScalar, GF2, GF3, PrimeField, QQ, field_from_tag
-from .matrices import ExactMatrix, assemble_blocks, inverse, multiply, rank
+from .fields import DEFAULT_SAMPLING_PRIME, Field, GF2, GF3, PrimeField, QQ, field_from_tag
+from .matrices import ExactMatrix, assemble_blocks
 from .quiver import (
     BipartiteQuiver,
     DimensionVector,

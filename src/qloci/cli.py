@@ -17,13 +17,7 @@ from .errors import (
     InternalCheckError,
     QlociError,
 )
-from .oracle import (
-    DEFAULT_POINT_GUARD,
-    enumerate_reps,
-    brute_orbit_partition,
-    space_dimension,
-    verify_rank_determines_orbit,
-)
+from .oracle import DEFAULT_POINT_GUARD, orbit_partition, space_dimension
 from .perms import essential_set, inversion_length, zelevinsky_permutation
 from .poset import (
     DEFAULT_LACE_GUARD,
@@ -288,21 +282,20 @@ def cmd_oracle(args) -> int:
     checks = []
 
     if isinstance(q, BipartiteQuiver):
-        points = enumerate_reps(q, dims, p, guard)
-        census = brute_orbit_partition(points, q, dims, p, guard)
-        ok = verify_rank_determines_orbit(q, dims, p, guard, guard)
-        checks.append(("rank_array determines orbits", ok))
-    else:
-        from .oracle import orbit_partition
+        name = "rank_array determines orbits"
 
+        def invariant(rep):
+            return rank_array(rep).values
+
+    else:
         ctx = bipartite_double(q)
-        census = orbit_partition(q, dims, p, guard, guard)
-        fibers = {}
-        for idx, rep in enumerate(census.points):
-            key = rank_array_arbitrary(ctx, rep).values
-            fibers.setdefault(key, []).append(idx)
-        ok = {tuple(sorted(v)) for v in fibers.values()} == set(census.orbits)
-        checks.append(("lifted rank array determines orbits", ok))
+        name = "lifted rank array determines orbits"
+
+        def invariant(rep):
+            return rank_array_arbitrary(ctx, rep).values
+
+    census = orbit_partition(q, dims, p, guard, guard)
+    checks.append((name, census.is_partitioned_by(invariant)))
 
     total = sum(census.sizes)
     checks.append(("orbit sizes sum to p^dim", total == p ** space_dimension(q, dims)))

@@ -2,16 +2,14 @@
 
 Matrices in this package store raw values (``Fraction`` over the rationals,
 ``int`` residues over a prime field) tagged with a single field object per
-matrix.  ``FieldScalar`` wraps one value together with its field for use at
-API boundaries, where mixing fields must be rejected loudly.
+matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldMismatchError, InputError
+from .errors import InputError
 
 # Default prime for generic-point sampling; large enough that accidental
 # rank drop is negligible at the matrix sizes this package handles.
@@ -192,42 +190,3 @@ def field_from_tag(tag: str) -> Field:
             raise InputError(f"bad field tag {tag!r}") from exc
         return PrimeField(p)
     raise InputError(f"unknown field tag {tag!r}")
-
-
-@dataclass(frozen=True)
-class FieldScalar:
-    """One exact scalar tagged with the field it lives in."""
-
-    field: Field
-    value: object
-
-    @staticmethod
-    def of(field: Field, value) -> "FieldScalar":
-        return FieldScalar(field, field.normalize(value))
-
-    def _check(self, other: "FieldScalar"):
-        if self.field != other.field:
-            raise FieldMismatchError(
-                f"cannot combine scalars over {self.field} and {other.field}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldScalar(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldScalar(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldScalar(self.field, self.field.mul(self.value, other.value))
-
-    def __neg__(self):
-        return FieldScalar(self.field, self.field.neg(self.value))
-
-    def inverse(self) -> "FieldScalar":
-        return FieldScalar(self.field, self.field.inv(self.value))
-
-    def is_zero(self) -> bool:
-        return self.value == self.field.zero()

@@ -1,18 +1,22 @@
 """Exact dense matrices over Q or a prime field.
 
-Supports rank (fraction-free over Q, bitmask elimination over F_2), products,
-inverses, and block assembly.  Matrices with zero rows or zero columns are
-first-class citizens and have rank 0, so zero-dimensional vertex spaces need
-no special handling elsewhere.
+Supports products, inverses, block assembly and ranks.  Every rank comes
+from one pivot profile (`_pivot_profile`): the rows are inserted in order
+into an echelon basis, one inserter per field representation.  The profile
+gives the rank of the matrix and of each of its northwest-justified
+submatrices.  Matrices with zero rows or zero columns are first-class
+citizens and have rank 0, so zero-dimensional vertex spaces need no special
+handling elsewhere.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
 from .errors import FieldMismatchError, InputError, ShapeError, SingularMatrixError
-from .fields import Field, FieldScalar, PrimeField, QQ, field_from_tag
+from .fields import Field, PrimeField, field_from_tag
 
 
 class ExactMatrix:
@@ -48,9 +52,6 @@ class ExactMatrix:
         z, o = field.zero(), field.one()
         data = [[o if i == j else z for j in range(size)] for i in range(size)]
         return cls(field, size, size, data)
-
-    def entry(self, i: int, j: int) -> FieldScalar:
-        return FieldScalar(self.field, self.data[i][j])
 
     def row(self, i: int):
         return tuple(self.data[i])
@@ -172,20 +173,8 @@ class ExactMatrix:
     # -- rank ---------------------------------------------------------------
 
     def rank(self) -> int:
-        """Row rank by exact elimination.
-
-        Over Q this uses fraction-free (Bareiss) pivoting on the denominator-
-        cleared matrix to bound entry growth; over F_2 it packs rows into
-        integers and eliminates with xor.
-        """
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        f = self.field
-        if isinstance(f, PrimeField):
-            if f.p == 2:
-                return _rank_gf2(_bitrows(self.data, self.cols))
-            return _rank_mod_p(self.copy_data(), self.cols, f.p)
-        return _rank_bareiss(_cleared_int_rows(self.data), self.cols)
+        """Row rank: the number of pairs in the pivot profile."""
+        return len(_pivot_profile(self))
 
     # -- serialization ------------------------------------------------------
 
@@ -215,112 +204,6 @@ class ExactMatrix:
                 raise InputError("matrix entry grid does not match declared shape")
             data.append([field.scalar_from_json(v) for v in row])
         return cls(field, rows, cols, data)
-
-
-def _bitrows(data, cols):
-    # column c maps to bit (cols-1-c) so the leading bit is the leftmost column
-    out = []
-    for row in data:
-        bits = 0
-        for v in row:
-            bits = (bits << 1) | (v & 1)
-        out.append(bits)
-    return out
-
-
-def _rank_gf2(bitrows) -> int:
-    pivots = {}
-    rank = 0
-    for v in bitrows:
-        while v:
-            b = v.bit_length()
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = v
-                rank += 1
-                break
-            v ^= p
-    return rank
-
-
-def _rank_mod_p(rows, cols, p) -> int:
-    m = len(rows)
-    rank = 0
-    lead = 0
-    for col in range(cols):
-        piv = None
-        for r in range(lead, m):
-            if rows[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        prow = rows[lead]
-        pinv = pow(prow[col], p - 2, p)
-        for r in range(lead + 1, m):
-            vr = rows[r]
-            c = vr[col] % p
-            if c:
-                factor = (c * pinv) % p
-                for k in range(col, cols):
-                    vr[k] = (vr[k] - factor * prow[k]) % p
-        lead += 1
-        rank += 1
-        if lead == m:
-            break
-    return rank
-
-
-def _cleared_int_rows(data):
-    # scale each row to integers; row scaling does not change the rank
-    out = []
-    for row in data:
-        mult = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * mult) if isinstance(v, Fraction) else int(v) * mult for v in row])
-    return out
-
-
-def _rank_bareiss(rows, cols) -> int:
-    m = len(rows)
-    rank = 0
-    lead = 0
-    prev = 1
-    for col in range(cols):
-        piv = None
-        for r in range(lead, m):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        prow = rows[lead]
-        pv = prow[col]
-        for r in range(lead + 1, m):
-            vr = rows[r]
-            c = vr[col]
-            for k in range(col + 1, cols):
-                vr[k] = (pv * vr[k] - c * prow[k]) // prev
-            vr[col] = 0
-        prev = pv
-        lead += 1
-        rank += 1
-        if lead == m:
-            break
-    return rank
-
-
-def rank(m: ExactMatrix) -> int:
-    return m.rank()
-
-
-def multiply(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a.multiply(b)
-
-
-def inverse(m: ExactMatrix) -> ExactMatrix:
-    return m.inverse()
 
 
 def assemble_blocks(layout, row_sizes, col_sizes, field: Field | None = None) -> ExactMatrix:
@@ -375,94 +258,102 @@ def assemble_blocks(layout, row_sizes, col_sizes, field: Field | None = None) ->
 def prefix_block_ranks(m: ExactMatrix, row_cuts, col_cuts):
     """Ranks of all northwest-justified submatrices at the given cut lines.
 
-    Returns a grid ``g`` with ``g[a][b] = rank of m[:row_cuts[a], :col_cuts[b]]``.
-    One elimination per row cut suffices: the pivot-column profile of a row
-    prefix yields every column-prefix rank at once.
+    Returns a grid ``g`` with ``g[a][b] = rank of m[:row_cuts[a], :col_cuts[b]]``,
+    read from one pivot profile of ``m``: that rank is the number of profile
+    pairs with row < row_cuts[a] and column < col_cuts[b].
     """
-    f = m.field
-    cols = m.cols
+    profile = _pivot_profile(m)
     out = []
-    gf2 = isinstance(f, PrimeField) and f.p == 2
     for rc in row_cuts:
-        if gf2:
-            pivot_cols = _pivot_cols_gf2(_bitrows(m.data[:rc], cols), cols)
-        elif isinstance(f, PrimeField):
-            pivot_cols = _pivot_cols_mod_p([list(r) for r in m.data[:rc]], cols, f.p)
-        else:
-            pivot_cols = _pivot_cols_fractions([list(r) for r in m.data[:rc]], cols)
-        counts = []
-        for cc in col_cuts:
-            counts.append(sum(1 for c in pivot_cols if c < cc))
-        out.append(tuple(counts))
+        lead_cols = sorted(c for i, c in profile if i < rc)
+        out.append(tuple(bisect_left(lead_cols, cc) for cc in col_cuts))
     return tuple(out)
 
 
-def _pivot_cols_gf2(bitrows, cols):
-    pivots = {}
-    for v in bitrows:
-        while v:
-            b = v.bit_length()
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = v
+def _pivot_profile(m: ExactMatrix):
+    """One ``(row, column)`` pair per row of ``m`` outside the span of the rows above it.
+
+    The rows are inserted in order into an echelon basis, and the column is
+    the leading column of the row once reduced against that basis.  The basis
+    rows have distinct leading columns, so ``rank(m[:r, :c])`` is the number
+    of pairs with row < r and column < c.  Insertion stops once the basis
+    holds a row for every column, since every later row is in its span.
+    """
+    cols = m.cols
+    profile = []
+    if m.rows == 0 or cols == 0:
+        return profile
+    f = m.field
+    if isinstance(f, PrimeField) and f.p == 2:
+        # rows as ints, column c at bit cols-1-c, so the leading bit is the
+        # leftmost column; basis keyed by the bit length of its leading bit
+        basis = {}
+        for i, row in enumerate(m.data):
+            v = 0
+            for x in row:
+                v = (v << 1) | (x & 1)
+            while v:
+                b = v.bit_length()
+                w = basis.get(b)
+                if w is None:
+                    basis[b] = v
+                    profile.append((i, cols - b))
+                    break
+                v ^= w
+            if len(profile) == cols:
                 break
-            v ^= p
-    return [cols - b for b in pivots]
-
-
-def _pivot_cols_mod_p(rows, cols, p):
-    m = len(rows)
-    lead = 0
-    pivot_cols = []
-    for col in range(cols):
-        piv = None
-        for r in range(lead, m):
-            if rows[r][col] % p:
-                piv = r
+    elif isinstance(f, PrimeField):
+        # residues; basis keyed by leading column, each row scaled to a leading 1
+        p = f.p
+        basis = {}
+        for i, row in enumerate(m.data):
+            v = list(row)
+            for c in range(cols):
+                a = v[c] % p
+                if a:
+                    w = basis.get(c)
+                    if w is None:
+                        inv = pow(a, p - 2, p)
+                        basis[c] = [x * inv % p for x in v]
+                        profile.append((i, c))
+                        break
+                    for k in range(c + 1, cols):
+                        v[k] = (v[k] - a * w[k]) % p
+            if len(profile) == cols:
                 break
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        prow = rows[lead]
-        pinv = pow(prow[col], p - 2, p)
-        for r in range(lead + 1, m):
-            c = rows[r][col] % p
-            if c:
-                factor = (c * pinv) % p
-                vr = rows[r]
-                for k in range(col, cols):
-                    vr[k] = (vr[k] - factor * prow[k]) % p
-        pivot_cols.append(col)
-        lead += 1
-        if lead == m:
-            break
-    return pivot_cols
-
-
-def _pivot_cols_fractions(rows, cols):
-    m = len(rows)
-    lead = 0
-    pivot_cols = []
-    for col in range(cols):
-        piv = None
-        for r in range(lead, m):
-            if rows[r][col] != 0:
-                piv = r
+    else:
+        # Bareiss on the denominator-cleared rows, stages in insertion order:
+        # stage k divides exactly by the pivot of stage k-1, and after it a
+        # row's entries are (k+1)-minors (Sylvester's identity), so they grow
+        # no faster than determinants.  A stage whose pivot column holds a
+        # zero only rescales the row by pivot / previous pivot; it is skipped
+        # and the rescaling folded into the next division or the final one.
+        basis = []  # (leading column, row after the stages before it, pivot)
+        last = 1  # pivot of the last stage
+        for i, v in enumerate(_cleared_int_rows(m.data)):
+            prev = 1  # pivot of the last stage applied to v
+            for c, w, piv in basis:
+                a = v[c]
+                if a:
+                    v = [(piv * x - a * y) // prev for x, y in zip(v, w)]
+                    prev = piv
+            for c, x in enumerate(v):
+                if x:
+                    if prev != last:
+                        v = [y * last // prev for y in v]
+                    last = v[c]
+                    basis.append((c, v, last))
+                    profile.append((i, c))
+                    break
+            if len(profile) == cols:
                 break
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        prow = rows[lead]
-        pv = prow[col]
-        for r in range(lead + 1, m):
-            c = rows[r][col]
-            if c != 0:
-                factor = c / pv
-                vr = rows[r]
-                for k in range(col, cols):
-                    vr[k] = vr[k] - factor * prow[k]
-        pivot_cols.append(col)
-        lead += 1
-        if lead == m:
-            break
-    return pivot_cols
+    return profile
+
+
+def _cleared_int_rows(data):
+    # scale each row to integers; row scaling does not change the span
+    out = []
+    for row in data:
+        mult = lcm(*(v.denominator for v in row)) if row else 1
+        out.append([int(v * mult) if isinstance(v, Fraction) else int(v) * mult for v in row])
+    return out

@@ -174,6 +174,14 @@ class OrbitCensus:
             out.append({"size": len(orbit), "rank_array": rank_array_to_json(ra)})
         return {"p": self.p, "orbits": out}
 
+    def is_partitioned_by(self, invariant) -> bool:
+        """True iff the fibers of ``invariant`` over the points are the orbits."""
+        fibers = {}
+        for idx, rep in enumerate(self.points):
+            fibers.setdefault(invariant(rep), []).append(idx)
+        # indices were appended in increasing order, as in each orbit
+        return {tuple(v) for v in fibers.values()} == set(self.orbits)
+
 
 def _tuple_mats(rep):
     return tuple(tuple(tuple(row) for row in m.data) for m in rep.arrows)
@@ -267,11 +275,7 @@ def verify_rank_determines_orbit(
 ) -> bool:
     """True iff the rank-array fibers coincide with the brute orbit partition."""
     census = orbit_partition(q, dims, p, point_ceiling, group_ceiling)
-    by_rank = {}
-    for idx, rep in enumerate(census.points):
-        by_rank.setdefault(rank_array(rep).values, []).append(idx)
-    fibers = {tuple(sorted(v)) for v in by_rank.values()}
-    return fibers == set(census.orbits)
+    return census.is_partitioned_by(lambda rep: rank_array(rep).values)
 
 
 def bruhat_via_covers(d_sym: int):

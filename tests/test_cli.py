@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -218,6 +219,34 @@ def test_oracle_pass(tmp_path, capsys):
         assert all(item["pass"] for item in payload["checks"])
 
 
+def test_oracle_partitions_once(tmp_path, capsys, monkeypatch):
+    import qloci.cli
+    import qloci.oracle
+
+    calls = []
+    original = qloci.oracle.brute_orbit_partition
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qloci.oracle, "brute_orbit_partition", counting)
+    # also count calls through a binding the CLI module may import for itself
+    monkeypatch.setattr(qloci.cli, "brute_orbit_partition", counting, raising=False)
+    for quiver, dims in (
+        ({"type": "bipartiteA", "n": 1}, "1,1,1"),
+        ({"type": "A", "orientation": "RR"}, "1,1,1"),
+    ):
+        path = write(tmp_path, "q.json", quiver)
+        calls.clear()
+        code, out, _ = run_main(
+            capsys, ["oracle", "--quiver", path, "--dims", dims, "--format", "json"]
+        )
+        assert code == 0
+        assert all(item["pass"] for item in json.loads(out)["checks"])
+        assert len(calls) == 1
+
+
 def test_oracle_guard_exits_3(tmp_path, capsys):
     quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 2})
     code, _, _ = run_main(
@@ -242,12 +271,19 @@ def test_json_outputs_reparse(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
+    import qloci
+
     rep_path = tmp_path / "rep.json"
     rep_path.write_text(json.dumps(rep_n1(1, 1)))
+    # run the same qloci package this test imported
+    src = os.path.dirname(os.path.dirname(qloci.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qloci.cli", "decompose", "--rep", str(rep_path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "[a1,b1]: 1" in proc.stdout

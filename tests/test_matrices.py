@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qloci import (
     ExactMatrix,
     FieldMismatchError,
-    FieldScalar,
     GF2,
     GF3,
     PrimeField,
@@ -40,6 +39,24 @@ def naive_fraction_rank(m):
                 f = rows[r][col] / rows[lead][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[lead])]
         lead += 1
+        rank += 1
+    return rank
+
+
+def naive_mod_p_rank(m, p):
+    # independent oracle: column-by-column Gaussian elimination on residues
+    rows = [[int(v) % p for v in row] for row in m.data]
+    rank = 0
+    for col in range(m.cols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv % p
+            if f:
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 
@@ -123,14 +140,6 @@ def test_assemble_zero_fill_and_mismatch():
         assemble_blocks([[a, mat(QQ, [[1, 2]])]], [1], [1, 1])
 
 
-def test_scalar_field_mismatch():
-    a = FieldScalar.of(QQ, 1)
-    b = FieldScalar.of(GF2, 1)
-    with pytest.raises(FieldMismatchError):
-        a + b
-    assert (FieldScalar.of(GF3, 2) * FieldScalar.of(GF3, 2)).value == 1
-
-
 def test_json_round_trip():
     m = mat(QQ, [[Fraction(1, 2), 3], [0, Fraction(-7, 5)]])
     assert ExactMatrix.from_json(m.to_json()) == m
@@ -212,21 +221,74 @@ def test_inverse_round_trip():
             assert m.multiply(m.inverse()) == ExactMatrix.identity(QQ, size)
 
 
+def reference_rank(m):
+    if m.field == QQ:
+        return naive_fraction_rank(m)
+    return naive_mod_p_rank(m, m.field.p)
+
+
+def assert_prefix_ranks(m, row_cuts, col_cuts):
+    grid = prefix_block_ranks(m, row_cuts, col_cuts)
+    for a, rc in enumerate(row_cuts):
+        for b, cc in enumerate(col_cuts):
+            sub = ExactMatrix(m.field, rc, cc, [row[:cc] for row in m.data[:rc]])
+            assert grid[a][b] == reference_rank(sub), (rc, cc)
+
+
 def test_prefix_block_ranks_matches_direct_ranks():
     rng = random.Random(11)
-    for field in (QQ, GF2, GF3):
-        for _ in range(15):
-            rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
-            m = ExactMatrix.from_rows(
-                field, [[rng.randrange(0, 5) for _ in range(cols)] for _ in range(rows)]
-            )
+    for field in (QQ, GF2, GF3, PrimeField(32003)):
+        for _ in range(40):
+            rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+            # about half the entries are zero, as in the block matrices ranked elsewhere
+            if field == QQ:
+                data = [
+                    [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) * rng.randrange(2)
+                     for _ in range(cols)]
+                    for _ in range(rows)
+                ]
+            else:
+                data = [[rng.randrange(0, 5) * rng.randrange(2) for _ in range(cols)]
+                        for _ in range(rows)]
+            # repeat a row now and then so that some rows fall in the span above them
+            if rows > 2 and rng.random() < 0.5:
+                data[-1] = list(data[rng.randrange(rows - 1)])
+            m = ExactMatrix.from_rows(field, data)
             row_cuts = sorted(rng.sample(range(rows + 1), rng.randrange(1, rows + 2)))
             col_cuts = sorted(rng.sample(range(cols + 1), rng.randrange(1, cols + 2)))
-            grid = prefix_block_ranks(m, row_cuts, col_cuts)
-            for a, rc in enumerate(row_cuts):
-                for b, cc in enumerate(col_cuts):
-                    sub = ExactMatrix(field, rc, cc, [row[:cc] for row in m.data[:rc]])
-                    assert grid[a][b] == sub.rank()
+            assert_prefix_ranks(m, row_cuts, col_cuts)
+            assert m.rank() == reference_rank(m)
+
+
+def test_prefix_block_ranks_dense_rational():
+    # 32x31 over Q of rank 20: rows 20.. are combinations of rows above them
+    rng = random.Random(7)
+    cols = 31
+    data = [
+        [Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(cols)]
+        for _ in range(20)
+    ]
+    for _ in range(12):
+        a, b = rng.sample(range(len(data)), 2)
+        s = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+        data.append([x + s * y for x, y in zip(data[a], data[b])])
+    m = ExactMatrix.from_rows(QQ, data)
+    assert m.rank() == naive_fraction_rank(m) == 20
+    assert_prefix_ranks(m, [0, 5, 13, 19, 20, 21, 26, 32], [0, 1, 7, 15, 19, 20, 24, 31])
+
+
+def test_prefix_block_ranks_sparse_rational():
+    # zeros in the pivot columns let the elimination skip stages; its rows
+    # must still come out exact, or a later rank goes wrong
+    m = mat(QQ, [
+        ["-3", 1, 0, "-3/4", -1, -2],
+        [0, 0, "2/3", 0, "-3/4", 0],
+        [0, 3, 0, -5, 0, 2],
+        ["5/3", 0, 0, 0, 0, 0],
+        [0, 5, 0, -2, 0, 0],
+        ["-5/3", 0, "2/3", 0, "-3/4", 0],
+    ])
+    assert_prefix_ranks(m, range(7), range(7))
 
 
 def test_prime_field_rejects_composite():
