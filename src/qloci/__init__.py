@@ -82,7 +82,6 @@ from .poset import (
     dense_orbit,
     enumerate_orbits,
     hasse,
-    orbit_dimension,
     order_equivalence_report,
     poset_to_dot,
 )

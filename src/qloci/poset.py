@@ -13,9 +13,10 @@ from .fields import PrimeField, DEFAULT_SAMPLING_PRIME
 from .matrices import ExactMatrix
 from .perms import (
     Permutation,
-    bruhat_leq,
     inversion_length,
     length_from_blocks,
+    pack_fields,
+    packed_rank_tables,
     zelevinsky_permutation,
 )
 from .quiver import BipartiteQuiver, DimensionVector, check_dims, d_x, d_y, interval_table
@@ -130,33 +131,52 @@ def enumerate_orbits(
     return nodes
 
 
-def orbit_dimension(node: OrbitNode, q: BipartiteQuiver, dims: DimensionVector) -> int:
-    """Dimension of the orbit closure from the block formula."""
-    b = block_rank_symbolic(node.rank, dims)
-    return d_x(dims) * d_y(dims) - length_from_blocks(b)
-
-
 def hasse(q: BipartiteQuiver, dims: DimensionVector, nodes) -> DegenerationPoset:
-    """Covering relations of the componentwise order on rank arrays."""
+    """Covering relations of the componentwise order on rank arrays.
+
+    Nodes are visited in lexicographic order of their rank arrays, a linear
+    extension of the order.  The rank arrays are packed by `pack_fields`, so
+    one guard-bit subtract decides r_a <= r_b, and each node b keeps the
+    bitmask down(b) of the earlier nodes a with r_a <= r_b.  The covers of b
+    are down(b) & ~(OR of down(c) over c in down(b)).  They are taken highest
+    first: the highest bit c still set is maximal in what is left, hence a
+    cover, and clearing c together with down(c) removes everything below
+    it, so each cover costs one mask update.  Covers are returned sorted by
+    (a, b).
+    """
     nodes = tuple(nodes)
-    leq = [
-        [a.rank.leq(b.rank) for b in nodes]
-        for a in nodes
-    ]
+    order = sorted(range(len(nodes)), key=lambda i: nodes[i].rank.values)
+    packed, guard = pack_fields(nodes[i].rank.values for i in order)
+    down = []
     covers = []
-    count = len(nodes)
-    for a in range(count):
-        for b in range(count):
-            if a == b or not leq[a][b]:
-                continue
-            if any(c != a and c != b and leq[a][c] and leq[c][b] for c in range(count)):
-                continue
-            covers.append((a, b))
+    for t, x in enumerate(packed):
+        xg = x | guard
+        below = 0
+        for s, y in enumerate(packed[:t]):
+            if (xg - y) & guard == guard:
+                below |= 1 << s
+        down.append(below)
+        while below:
+            c = below.bit_length() - 1
+            covers.append((order[c], order[t]))
+            below &= ~(down[c] | 1 << c)
+    covers.sort()
     return DegenerationPoset(q, dims, nodes, tuple(covers))
 
 
 def build_poset(q: BipartiteQuiver, dims: DimensionVector, guard: int = DEFAULT_LACE_GUARD):
-    return hasse(q, dims, enumerate_orbits(q, dims, guard))
+    """Enumerate the orbits and their covering relations.
+
+    The guard bounds the lace-search nodes visited and, before any pair is
+    compared, the N**2 node pairs of the Hasse diagram and the order check.
+    """
+    nodes = enumerate_orbits(q, dims, guard)
+    pairs = len(nodes) ** 2
+    if pairs > guard:
+        raise GuardExceededError(
+            f"{len(nodes)} orbits give {pairs} pairs to compare, more than {guard}"
+        )
+    return hasse(q, dims, nodes)
 
 
 def _random_rep(q: BipartiteQuiver, dims: DimensionVector, rng: random.Random) -> Representation:
@@ -208,18 +228,27 @@ class OrderReport:
 
 
 def order_equivalence_report(poset: DegenerationPoset) -> OrderReport:
-    """Check r' <= r iff v(r') >= v(r) in Bruhat order over all node pairs."""
+    """Check r_a <= r_b iff v_a >= v_b in Bruhat order over all N**2 ordered
+    node pairs, listing every pair where the two orders disagree.
+
+    Each node's rank array and the full d x d rank table of its permutation
+    are packed once (N rank tables, by `packed_rank_tables`); each side of a
+    pair is then one guard-bit subtract (see `pack_fields`).  v_b <= v_a in
+    Bruhat order iff the rank table of v_b dominates that of v_a.
+    """
     nodes = poset.nodes
+    ranks, rank_guard = pack_fields(node.rank.values for node in nodes)
+    tables, table_guard = packed_rank_tables(node.permutation for node in nodes)
+    ranks_g = [x | rank_guard for x in ranks]
+    tables_g = [x | table_guard for x in tables]
     bad = []
-    pairs = 0
-    for a, na in enumerate(nodes):
-        for b, nb in enumerate(nodes):
-            pairs += 1
-            rank_le = na.rank.leq(nb.rank)
-            bruhat_ge = bruhat_leq(nb.permutation, na.permutation)
-            if rank_le != bruhat_ge:
+    for a, (ra, ta) in enumerate(zip(ranks, tables)):
+        for b, (rbg, tbg) in enumerate(zip(ranks_g, tables_g)):
+            if ((rbg - ra) & rank_guard == rank_guard) != (
+                (tbg - ta) & table_guard == table_guard
+            ):
                 bad.append((a, b))
-    return OrderReport(pairs, not bad, tuple(bad))
+    return OrderReport(len(nodes) ** 2, not bad, tuple(bad))
 
 
 def poset_to_dot(poset: DegenerationPoset) -> str:

@@ -170,6 +170,21 @@ def test_poset_guard_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_poset_guard_bounds_node_pairs(tmp_path, capsys):
+    # dims 3^5: the lace search visits 5,007 nodes and finds 660 orbits,
+    # which leave 435,600 pairs for the Hasse diagram and the order check
+    quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 2})
+    argv = ["poset", "--quiver", quiver, "--dims", "3,3,3,3,3", "--format", "json"]
+    code, _, err = run_main(capsys, argv + ["--guard", "100000"])
+    assert code == 3
+    assert "435600 pairs" in err
+    code, out, _ = run_main(capsys, argv + ["--guard", "500000"])
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["nodes"]) == 660
+    assert payload["order_equivalence"] == {"pairs_checked": 435600, "consistent": True}
+
+
 def test_reduce_rrll(tmp_path, capsys):
     quiver = write(tmp_path, "q.json", {"type": "A", "orientation": "RRLL"})
     code, out, _ = run_main(

@@ -20,6 +20,7 @@ from qloci import (
 )
 from qloci.errors import InputError, ShapeError
 from qloci.oracle import bruhat_via_covers
+from qloci.perms import pack_fields, rank_table
 from qloci.poset import enumerate_orbits
 from qloci.zelevinsky import block_rank_symbolic
 
@@ -78,6 +79,61 @@ def test_bruhat_examples():
     assert not bruhat_leq(P(2, 1, 3), P(1, 3, 2))
     with pytest.raises(ShapeError):
         bruhat_leq(P(1, 2), P(1, 2, 3))
+
+
+def dominance_leq(u, v):
+    """u <= v in Bruhat order by a plain loop over the rank-table entries."""
+    ru, rv = rank_table(u), rank_table(v)
+    d = u.size
+    return all(ru[i][j] >= rv[i][j] for i in range(1, d + 1) for j in range(1, d + 1))
+
+
+def test_pack_fields_dominance():
+    rows = [(0, 3, 5), (5, 3, 0), (5, 5, 5), (0, 0, 0), (4, 3, 5)]
+    packed, guard = pack_fields(rows)
+    # max 5 needs 3 bits, plus the guard bit: 4-bit fields, first entry on top
+    assert guard == 0b1000_1000_1000
+    assert packed[0] == 0b0000_0011_0101
+    for x, xs in zip(packed, rows):
+        for y, ys in zip(packed, rows):
+            expected = all(a >= b for a, b in zip(xs, ys))
+            assert (((x | guard) - y) & guard == guard) == expected
+    assert pack_fields([]) == ([], 0)
+    assert pack_fields([(0, 0)]) == ([0], 0b11)
+    with pytest.raises(ShapeError):
+        pack_fields([(1, 2), (1,)])
+
+
+def test_packed_bruhat_matches_plain_dominance_on_s5():
+    perms = [Permutation(w) for w in iter_permutations(range(1, 6))]
+    for u in perms:
+        for v in perms:
+            assert bruhat_leq(u, v) == dominance_leq(u, v)
+
+
+def test_packed_bruhat_matches_plain_dominance_across_field_widths():
+    # rank-table entries reach d, so the field width steps from 4 to 5 bits
+    # between d = 7 and 8 and from 5 to 6 bits between d = 15 and 16
+    rng = random.Random(23)
+    for d in (7, 8, 15, 16):
+        outcomes = set()
+        for _ in range(150):
+            word = list(range(1, d + 1))
+            rng.shuffle(word)
+            u = Permutation(tuple(word))
+            # a chain of length-raising transpositions puts v above u
+            for _ in range(rng.randrange(4)):
+                i, j = sorted(rng.sample(range(d), 2))
+                if word[i] < word[j]:
+                    word[i], word[j] = word[j], word[i]
+            if rng.random() < 0.3:
+                rng.shuffle(word)
+            v = Permutation(tuple(word))
+            for x, y in ((u, v), (v, u)):
+                expected = dominance_leq(x, y)
+                assert bruhat_leq(x, y) == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 def test_bruhat_is_partial_order_on_s4():

@@ -9,11 +9,12 @@ from qloci import (
     dense_orbit,
     enumerate_orbits,
     hasse,
-    orbit_dimension,
+    inversion_length,
     order_equivalence_report,
     poset_to_dot,
 )
 from qloci.poset import iter_lace_values
+from qloci.quiver import d_x, d_y
 from qloci.serde import poset_to_json
 
 
@@ -99,14 +100,14 @@ def test_dense_orbit_reuses_given_nodes():
 
 def test_orbit_dimensions_diamond():
     q, d = diamond()
+    expected = {(1, 1, 1): 2, (0, 0, 0): 0, (1, 1, 0): 1, (0, 1, 1): 1}
     nodes = enumerate_orbits(q, d)
-    dims_by_rank = {arrow_ranks(n): orbit_dimension(n, q, d) for n in nodes}
-    assert dims_by_rank[(1, 1, 1)] == 2
-    assert dims_by_rank[(0, 0, 0)] == 0
-    assert dims_by_rank[(1, 1, 0)] == 1
-    assert dims_by_rank[(0, 1, 1)] == 1
-    for n in nodes:
-        assert orbit_dimension(n, q, d) == n.dimension
+    assert {arrow_ranks(n): n.dimension for n in nodes} == expected
+    # independent route: codimension = length of the Zelevinsky permutation
+    product = d_x(d) * d_y(d)
+    assert {
+        arrow_ranks(n): product - inversion_length(n.permutation) for n in nodes
+    } == expected
 
 
 def test_covers_strictly_increase_dimension():
@@ -180,3 +181,86 @@ def test_json_export_round_trip_fields():
     assert len(payload["covers"]) == 4
     for node in payload["nodes"]:
         assert {"rank_array", "lace_array", "permutation", "length", "dimension"} <= set(node)
+
+
+def reference_covers(nodes):
+    """Covers by brute force: a < b with no c strictly between, O(N^3)."""
+    count = len(nodes)
+    leq = [[a.rank.leq(b.rank) for b in nodes] for a in nodes]
+    return tuple(
+        (a, b)
+        for a in range(count)
+        for b in range(count)
+        if a != b
+        and leq[a][b]
+        and not any(c != a and c != b and leq[a][c] and leq[c][b] for c in range(count))
+    )
+
+
+def test_hasse_matches_brute_force_covers():
+    from itertools import product
+
+    cases = [(BipartiteQuiver(2), DimensionVector(d)) for d in product(range(3), repeat=5)]
+    cases.append((BipartiteQuiver(3), DimensionVector.of(*[1] * 7)))
+    for q, d in cases:
+        nodes = enumerate_orbits(q, d)
+        assert hasse(q, d, nodes).covers == reference_covers(nodes), d
+
+
+def test_hasse_covers_do_not_depend_on_node_order():
+    import random
+
+    q, d = BipartiteQuiver(2), DimensionVector.of(1, 2, 2, 1, 1)
+    nodes = enumerate_orbits(q, d)
+    shuffled = list(nodes)
+    random.Random(3).shuffle(shuffled)
+    assert hasse(q, d, shuffled).covers == reference_covers(shuffled)
+
+
+def test_order_equivalence_reports_swapped_permutations():
+    from dataclasses import replace
+
+    q, d = diamond()
+    poset = build_poset(q, d)
+    nodes = list(poset.nodes)
+    # nodes are sorted by rank array: 0 is the zero orbit, 3 the dense one
+    assert arrow_ranks(nodes[0]) == (0, 0, 0) and arrow_ranks(nodes[3]) == (1, 1, 1)
+    nodes[0], nodes[3] = (
+        replace(nodes[0], permutation=nodes[3].permutation),
+        replace(nodes[3], permutation=nodes[0].permutation),
+    )
+    report = order_equivalence_report(replace(poset, nodes=tuple(nodes)))
+    assert report.pairs_checked == 16
+    assert not report.consistent
+    # node 0 now carries the identity and node 3 the longest permutation, so
+    # every pair of distinct nodes involving 0 or 3 disagrees; 1 and 2 still
+    # agree (incomparable in both orders)
+    assert report.counterexamples == (
+        (0, 1), (0, 2), (0, 3), (1, 0), (1, 3), (2, 0), (2, 3), (3, 0), (3, 1), (3, 2),
+    )
+
+
+def test_order_equivalence_builds_one_rank_table_per_node(monkeypatch):
+    import qloci.perms
+
+    q, d = BipartiteQuiver(2), DimensionVector.of(3, 3, 3, 3, 3)
+    poset = build_poset(q, d)
+    calls = []
+    original = qloci.perms.rank_table
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(qloci.perms, "rank_table", counting)
+    report = order_equivalence_report(poset)
+    assert report.consistent and report.pairs_checked == 660**2
+    assert len(calls) == 660
+
+
+def test_build_poset_guards_the_node_pairs():
+    q, d = BipartiteQuiver(2), DimensionVector.of(2, 2, 2, 2, 2)
+    count = len(enumerate_orbits(q, d))
+    assert len(build_poset(q, d, guard=count**2).nodes) == count
+    with pytest.raises(GuardExceededError, match="pairs"):
+        build_poset(q, d, guard=count**2 - 1)
