@@ -28,7 +28,6 @@ from .quiver import (
     TypeAQuiver,
     d_x,
     d_y,
-    enumerate_intervals,
     interval_join,
     interval_meet,
     interval_table,
@@ -43,7 +42,6 @@ from .reps import (
     indecomposable_rep,
     lace_to_rank,
     rank_array,
-    rank_function,
     rank_to_lace,
     rep_from_lace,
     validate_rank_array,
@@ -87,15 +85,13 @@ from .poset import (
 )
 from .reduction import (
     ReductionContext,
-    TypeARepresentation,
-    act_typea,
     bipartite_double,
     lift_dimension,
     lift_rep,
+    open_locus_poset,
     project,
     project_group,
     rank_array_arbitrary,
-    zero_typea_rep,
 )
 from .oracle import (
     OrbitCensus,

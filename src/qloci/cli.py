@@ -1,5 +1,17 @@
 """Command-line surface: qloci <decompose|zelevinsky|poset|reduce|oracle>.
 
+Each command declares only the options it reads:
+
+    decompose   --rep F [--format json|text]
+    zelevinsky  --rep F [--format json|text] [--reduce]
+    poset       --quiver F --dims CSV [--format json|dot|text] [--seed S] [--guard N]
+    reduce      --quiver F [--dims CSV] [--format json|text]
+    oracle      --quiver F --dims CSV [--p P] [--format json|text] [--guard N]
+
+The poset guard bounds the lace-search nodes and the node pairs
+(default ``poset.DEFAULT_LACE_GUARD``); the oracle guard bounds the points
+and the group order (default ``oracle.DEFAULT_POINT_GUARD``).
+
 Exit codes are a stable contract: 0 success, 2 input error, 3 guard
 exceeded, 4 internal invariant failure.
 """
@@ -8,8 +20,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from functools import partial
 
 from .errors import (
     GuardExceededError,
@@ -27,8 +39,14 @@ from .poset import (
     poset_to_dot,
 )
 from .quiver import BipartiteQuiver, DimensionVector, TypeAQuiver, d_x, d_y, interval_table
-from .reps import Representation, rank_array, rank_to_lace
-from .reduction import bipartite_double, lift_rep, rank_array_arbitrary
+from .reps import rank_array, rank_to_lace
+from .reduction import (
+    bipartite_double,
+    lift_dimension,
+    lift_rep,
+    open_locus_poset,
+    rank_array_arbitrary,
+)
 from .zelevinsky import block_rank_numeric, block_rank_symbolic, zelevinsky_map
 from . import serde
 
@@ -39,26 +57,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Orbit structure of type A quiver representation spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--quiver": dict(metavar="F", help="path to a quiver JSON file"),
+        "--rep": dict(metavar="F", help="path to a representation JSON file"),
+        "--dims": dict(metavar="CSV", help="comma-separated dimension vector"),
+        "--p": dict(type=int, default=None, help="prime for Fp"),
+        "--reduce": dict(action="store_true", help="lift non-bipartite input first"),
+        "--seed": dict(type=int, default=0),
+    }
 
-    def common(p):
-        p.add_argument("--quiver", metavar="F", help="path to a quiver JSON file")
-        p.add_argument("--rep", metavar="F", help="path to a representation JSON file")
-        p.add_argument("--dims", metavar="CSV", help="comma-separated dimension vector")
-        p.add_argument("--field", choices=["Q", "Fp"], default=None)
-        p.add_argument("--p", type=int, default=None, help="prime for Fp")
-        p.add_argument("--format", choices=["json", "dot", "text"], default="text")
-        p.add_argument("--reduce", action="store_true", help="lift non-bipartite input first")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--guard", type=int, default=None, help="enumeration ceiling")
-
-    for name, doc in [
-        ("decompose", "Krull-Schmidt multiplicities and rank array of a representation"),
-        ("zelevinsky", "embedded matrix, block ranks, permutation, essential set, dimension"),
-        ("poset", "degeneration poset for a quiver and dimension vector"),
-        ("reduce", "bipartite double of an arbitrarily oriented quiver"),
-        ("oracle", "brute-force verification report over a small prime field"),
+    text = ("json", "text")
+    for name, doc, names, formats, guard in [
+        ("decompose", "Krull-Schmidt multiplicities and rank array of a representation",
+         ["--rep"], text, None),
+        ("zelevinsky", "embedded matrix, block ranks, permutation, essential set, dimension",
+         ["--rep", "--reduce"], text, None),
+        ("poset", "degeneration poset for a quiver and dimension vector",
+         ["--quiver", "--dims", "--seed"], ("json", "dot", "text"), DEFAULT_LACE_GUARD),
+        ("reduce", "bipartite double of an arbitrarily oriented quiver",
+         ["--quiver", "--dims"], text, None),
+        ("oracle", "brute-force verification report over a small prime field",
+         ["--quiver", "--dims", "--p"], text, DEFAULT_POINT_GUARD),
     ]:
-        common(sub.add_parser(name, help=doc))
+        p = sub.add_parser(name, help=doc)
+        for opt in names:
+            p.add_argument(opt, **options[opt])
+        p.add_argument("--format", choices=formats, default="text")
+        if guard is not None:
+            p.add_argument("--guard", type=int, default=guard, help="enumeration ceiling")
     return parser
 
 
@@ -84,18 +110,6 @@ def _parse_dims(text: str) -> DimensionVector:
         return DimensionVector(tuple(int(v) for v in text.split(",")))
     except ValueError as exc:
         raise InputError(f"bad --dims value {text!r}") from exc
-
-
-def _guard(args, default):
-    if args.guard is not None:
-        return args.guard
-    env = os.environ.get("QLOCI_GUARD")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"bad QLOCI_GUARD value {env!r}") from exc
-    return default
 
 
 def _emit(obj):
@@ -146,7 +160,7 @@ def _block_text(block, rsize, csize) -> str:
 
 def cmd_decompose(args) -> int:
     rep = serde.rep_from_json(_load_json(_need(args, "rep", "decompose")))
-    if not isinstance(rep, Representation):
+    if isinstance(rep.quiver, TypeAQuiver):
         raise InputError("decompose expects a bipartite representation")
     r = rank_array(rep)
     s = rank_to_lace(r, rep.dims)
@@ -172,11 +186,10 @@ def cmd_decompose(args) -> int:
 
 def cmd_zelevinsky(args) -> int:
     rep = serde.rep_from_json(_load_json(_need(args, "rep", "zelevinsky")))
-    if not isinstance(rep, Representation):
+    if isinstance(rep.quiver, TypeAQuiver):
         if not args.reduce:
             raise InputError("input is not bipartite; pass --reduce to lift it")
-        ctx = bipartite_double(rep.quiver)
-        rep = lift_rep(ctx, rep)
+        rep = lift_rep(bipartite_double(rep.quiver), rep)
     z = zelevinsky_map(rep)
     layout = z.layout
     b = block_rank_numeric(z)
@@ -208,15 +221,21 @@ def cmd_zelevinsky(args) -> int:
 
 
 def cmd_poset(args) -> int:
+    """Degeneration poset of a quiver and dimension vector.
+
+    An oriented quiver is lifted to its bipartite double, and only the
+    double's orbits in the open locus are kept (`open_locus_poset`): one
+    node per orbit of the oriented quiver, with that orbit's dimension.  The
+    output's quiver and dims stay those of the double, because the rank and
+    lace arrays are indexed by its intervals.
+    """
     q = serde.quiver_from_json(_load_json(_need(args, "quiver", "poset")))
     dims = _parse_dims(_need(args, "dims", "poset"))
     if isinstance(q, TypeAQuiver):
-        ctx = bipartite_double(q)
-        from .reduction import lift_dimension
-
-        q, dims = ctx.target, lift_dimension(ctx, dims)
-    guard = _guard(args, DEFAULT_LACE_GUARD)
-    poset = build_poset(q, dims, guard=guard)
+        poset = open_locus_poset(bipartite_double(q), dims, args.guard)
+    else:
+        poset = build_poset(q, dims, guard=args.guard)
+    q, dims = poset.quiver, poset.dims
     report = order_equivalence_report(poset)
     if not report.consistent:
         raise InternalCheckError(f"order equivalence failed: {report.counterexamples}")
@@ -254,11 +273,9 @@ def cmd_reduce(args) -> int:
     ctx = bipartite_double(q)
     payload = serde.reduction_context_to_json(ctx)
     if args.dims:
-        from .reduction import lift_dimension
-
         dims = _parse_dims(args.dims)
         payload["lifted_dims"] = serde.dims_to_json(lift_dimension(ctx, dims))
-    if args.format == "json" or args.format == "dot":
+    if args.format == "json":
         _emit(payload)
     else:
         print(f"target: bipartite quiver with n={ctx.target.n}")
@@ -278,23 +295,14 @@ def cmd_oracle(args) -> int:
     q = serde.quiver_from_json(_load_json(_need(args, "quiver", "oracle")))
     dims = _parse_dims(_need(args, "dims", "oracle"))
     p = args.p if args.p else 2
-    guard = _guard(args, DEFAULT_POINT_GUARD)
     checks = []
 
     if isinstance(q, BipartiteQuiver):
-        name = "rank_array determines orbits"
-
-        def invariant(rep):
-            return rank_array(rep).values
-
+        name, invariant = "rank_array determines orbits", rank_array
     else:
-        ctx = bipartite_double(q)
         name = "lifted rank array determines orbits"
-
-        def invariant(rep):
-            return rank_array_arbitrary(ctx, rep).values
-
-    census = orbit_partition(q, dims, p, guard, guard)
+        invariant = partial(rank_array_arbitrary, bipartite_double(q))
+    census = orbit_partition(q, dims, p, args.guard, args.guard)
     checks.append((name, census.is_partitioned_by(invariant)))
 
     total = sum(census.sizes)
@@ -304,7 +312,7 @@ def cmd_oracle(args) -> int:
     if args.format == "json":
         _emit(
             {
-                "census": census.to_json(),
+                "census": census.to_json(invariant),
                 "checks": [{"name": name, "pass": ok} for name, ok in checks],
             }
         )

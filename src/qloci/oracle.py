@@ -15,47 +15,28 @@ from .errors import GuardExceededError, InputError, InternalCheckError
 from .fields import PrimeField
 from .matrices import ExactMatrix
 from .perms import Permutation, inversion_length
-from .quiver import BipartiteQuiver, DimensionVector, TypeAQuiver, check_dims
+from .quiver import BipartiteQuiver, DimensionVector, check_dims
 from .reps import Representation, rank_array
-from .reduction import TypeARepresentation
 
 DEFAULT_POINT_GUARD = 2**20
 DEFAULT_GROUP_GUARD = 2**20
 MAX_COVER_SYMMETRIC = 6
 
 
-def _arrow_specs(q, dims: DimensionVector):
-    """(head, tail) vertex indices per arrow, for either quiver flavor."""
-    if isinstance(q, BipartiteQuiver):
-        check_dims(q, dims)
-        return [(q.head_pos(e), q.tail_pos(e)) for e in q.edges()]
-    if isinstance(q, TypeAQuiver):
-        if len(dims) != q.vertex_count:
-            raise InputError("dimension vector does not match the quiver")
-        return [(q.head_vertex(i), q.tail_vertex(i)) for i in range(1, q.arrow_count + 1)]
-    raise InputError(f"unsupported quiver {q!r}")
-
-
-def _make_rep(q, dims, field, mats):
-    if isinstance(q, BipartiteQuiver):
-        return Representation(q, dims, tuple(mats))
-    return TypeARepresentation(q, dims, tuple(mats))
-
-
 def space_dimension(q, dims: DimensionVector) -> int:
-    return sum(dims[h] * dims[t] for h, t in _arrow_specs(q, dims))
+    check_dims(q, dims)
+    return sum(dims[h] * dims[t] for h, t in q.arrows)
 
 
 def iter_reps(q, dims: DimensionVector, p: int, ceiling: int = DEFAULT_POINT_GUARD):
     """Yield every point of the representation space over F_p, in
     lexicographic order of the concatenated entry lists."""
     field = PrimeField(p)
-    specs = _arrow_specs(q, dims)
-    total_entries = sum(dims[h] * dims[t] for h, t in specs)
+    total_entries = space_dimension(q, dims)
     count = p**total_entries
     if count > ceiling:
         raise GuardExceededError(f"{count} points exceed the ceiling {ceiling}")
-    shapes = [(dims[h], dims[t]) for h, t in specs]
+    shapes = [(dims[h], dims[t]) for h, t in q.arrows]
     for code in range(count):
         digits = []
         c = code
@@ -69,7 +50,7 @@ def iter_reps(q, dims: DimensionVector, p: int, ceiling: int = DEFAULT_POINT_GUA
             data = [digits[pos + i * cols : pos + (i + 1) * cols] for i in range(rows)]
             pos += rows * cols
             mats.append(ExactMatrix(field, rows, cols, data))
-        yield _make_rep(q, dims, field, mats)
+        yield Representation(q, dims, tuple(mats))
 
 
 def enumerate_reps(q, dims: DimensionVector, p: int, ceiling: int = DEFAULT_POINT_GUARD):
@@ -159,19 +140,14 @@ class OrbitCensus:
     def sizes(self):
         return tuple(len(o) for o in self.orbits)
 
-    def to_json(self) -> dict:
+    def to_json(self, invariant) -> dict:
+        """Each orbit's size and the rank array ``invariant`` gives its first point."""
         from .serde import rank_array_to_json
 
-        out = []
-        for orbit in self.orbits:
-            rep = self.points[orbit[0]]
-            if isinstance(rep, Representation):
-                ra = rank_array(rep)
-            else:
-                from .reduction import bipartite_double, rank_array_arbitrary
-
-                ra = rank_array_arbitrary(bipartite_double(rep.quiver), rep)
-            out.append({"size": len(orbit), "rank_array": rank_array_to_json(ra)})
+        out = [
+            {"size": len(orbit), "rank_array": rank_array_to_json(invariant(self.points[orbit[0]]))}
+            for orbit in self.orbits
+        ]
         return {"p": self.p, "orbits": out}
 
     def is_partitioned_by(self, invariant) -> bool:
@@ -211,7 +187,8 @@ def brute_orbit_partition(
     group, which reaches exactly the full-group sweep's partition; the group
     order guard keeps requests sane.
     """
-    specs = _arrow_specs(q, dims)
+    check_dims(q, dims)
+    specs = q.arrows
     group_size = 1
     for k in dims:
         group_size *= gl_order(k, p)
@@ -275,7 +252,7 @@ def verify_rank_determines_orbit(
 ) -> bool:
     """True iff the rank-array fibers coincide with the brute orbit partition."""
     census = orbit_partition(q, dims, p, point_ceiling, group_ceiling)
-    return census.is_partitioned_by(lambda rep: rank_array(rep).values)
+    return census.is_partitioned_by(rank_array)
 
 
 def bruhat_via_covers(d_sym: int):

@@ -41,12 +41,6 @@ class Permutation:
             inv[v - 1] = i
         return Permutation(tuple(inv))
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(i) = self(other(i))."""
-        if self.size != other.size:
-            raise ShapeError("composition of permutations of different sizes")
-        return Permutation(tuple(self.word[v - 1] for v in other.word))
-
 
 def inversion_length(p: Permutation) -> int:
     """Number of pairs i < j with p(i) > p(j)."""

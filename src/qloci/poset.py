@@ -21,7 +21,7 @@ from .perms import (
 )
 from .quiver import BipartiteQuiver, DimensionVector, check_dims, d_x, d_y, interval_table
 from .reps import LaceArray, RankArray, Representation, lace_to_rank, rank_array
-from .zelevinsky import BlockRankMatrix, block_rank_symbolic, layout_for
+from .zelevinsky import block_rank_symbolic, layout_for
 
 # Ceiling on the lace-search nodes visited; the search visits a few nodes
 # per orbit it finds (about 8 for dims 3^5 or 2^7).
@@ -171,22 +171,26 @@ def build_poset(q: BipartiteQuiver, dims: DimensionVector, guard: int = DEFAULT_
     compared, the N**2 node pairs of the Hasse diagram and the order check.
     """
     nodes = enumerate_orbits(q, dims, guard)
+    check_pair_guard(nodes, guard)
+    return hasse(q, dims, nodes)
+
+
+def check_pair_guard(nodes, guard: int):
+    """Refuse, before any pair is compared, when the N**2 node pairs of the
+    Hasse diagram and the order check exceed the guard."""
     pairs = len(nodes) ** 2
     if pairs > guard:
         raise GuardExceededError(
             f"{len(nodes)} orbits give {pairs} pairs to compare, more than {guard}"
         )
-    return hasse(q, dims, nodes)
 
 
 def _random_rep(q: BipartiteQuiver, dims: DimensionVector, rng: random.Random) -> Representation:
     field = PrimeField(DEFAULT_SAMPLING_PRIME)
     mats = []
-    for e in q.edges():
-        rows = dims[q.head_pos(e)]
-        cols = dims[q.tail_pos(e)]
-        data = [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)]
-        mats.append(ExactMatrix(field, rows, cols, data))
+    for h, t in q.arrows:
+        data = [[rng.randrange(field.p) for _ in range(dims[t])] for _ in range(dims[h])]
+        mats.append(ExactMatrix(field, dims[h], dims[t], data))
     return Representation(q, dims, tuple(mats))
 
 

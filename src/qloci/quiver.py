@@ -7,13 +7,18 @@ sink.  We index vertices by their path position 0..2n (y_i at 2i, x_i at
 left of x, even e points right).  An interval is a contiguous span of
 vertex positions; spans may reach one step past each end of the quiver,
 where the phantom edges 0 and 2n+1 belong to a zero-padded extension.
+
+Both quiver classes describe their arrows the same way: ``arrows`` holds the
+(head, tail) vertex indices of each arrow in storage order and
+``arrow_names`` the matching JSON keys.  Representations, the oracle and
+the codecs read only these, so they serve every orientation alike.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InputError
 
@@ -46,6 +51,17 @@ class TypeAQuiver:
 
     def tail_vertex(self, i: int) -> int:
         return i - 1 if self.orientation[i - 1] == "R" else i
+
+    @cached_property
+    def arrows(self) -> tuple[tuple[int, int], ...]:
+        """(head, tail) vertex indices of gamma_i at index i-1."""
+        return tuple(
+            (self.head_vertex(i), self.tail_vertex(i)) for i in range(1, self.arrow_count + 1)
+        )
+
+    @cached_property
+    def arrow_names(self) -> tuple[str, ...]:
+        return tuple(f"g{i}" for i in range(1, self.arrow_count + 1))
 
     def is_bipartite(self) -> bool:
         o = self.orientation
@@ -85,6 +101,15 @@ class BipartiteQuiver:
     def tail_pos(e: int) -> int:
         """Position of the tail (the x vertex) of edge e."""
         return e if e % 2 else e - 1
+
+    @cached_property
+    def arrows(self) -> tuple[tuple[int, int], ...]:
+        """(head, tail) positions of edge e at index e-1."""
+        return tuple((self.head_pos(e), self.tail_pos(e)) for e in self.edges())
+
+    @cached_property
+    def arrow_names(self) -> tuple[str, ...]:
+        return tuple(edge_name(e) for e in self.edges())
 
     def intervals(self) -> "IntervalTable":
         return interval_table(self.n)
@@ -211,18 +236,14 @@ def shared_arrows(a: Interval, b: Interval) -> int:
     return max(0, min(a.hi, b.hi) - max(a.lo, b.lo))
 
 
-def enumerate_intervals(q: BipartiteQuiver):
-    """All intervals: vertex intervals by position, then arrow intervals
-    ordered by left endpoint and length."""
-    return interval_table(q.n).intervals
-
-
 class IntervalTable:
     """Precomputed interval data for the bipartite quiver with parameter n.
 
-    Holds the canonical interval ordering, the shift/meet/join bookkeeping
-    behind the multiplicity formula, interval-pair weights for the rank
-    formula, and per-vertex coverage lists.
+    Holds the canonical interval ordering (``intervals``: vertex intervals
+    by position, then arrow intervals by left endpoint and length), the
+    shift/meet/join bookkeeping behind the multiplicity formula,
+    interval-pair weights for the rank formula, and per-vertex coverage
+    lists.
     """
 
     def __init__(self, n: int):
@@ -332,7 +353,7 @@ def d_y(dims: DimensionVector) -> int:
     return sum(dims.values[0::2])
 
 
-def check_dims(q: BipartiteQuiver, dims: DimensionVector):
+def check_dims(q: BipartiteQuiver | TypeAQuiver, dims: DimensionVector):
     if len(dims) != q.vertex_count:
         raise InputError(
             f"dimension vector has {len(dims)} entries, quiver has {q.vertex_count} vertices"

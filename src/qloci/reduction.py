@@ -8,78 +8,32 @@ alternating; padding a zero-dimensional sink onto either end when needed
 puts it in the standard bipartite labeling.  Representations lift by
 placing identities over the new arrows, and project back by composing them
 out; the lift lands in the open locus where every delta map is invertible.
+Both sides use the one ``reps.Representation`` class: only the interval
+calculus, the Zelevinsky map and the degeneration poset need the bipartite
+labeling, and they get it by lifting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     FieldMismatchError,
     InputError,
     NotInOpenLocusError,
-    ShapeError,
     SingularMatrixError,
 )
-from .fields import Field, QQ
+from .fields import QQ
 from .matrices import ExactMatrix
-from .quiver import BipartiteQuiver, DimensionVector, TypeAQuiver
+from .poset import (
+    DEFAULT_LACE_GUARD,
+    DegenerationPoset,
+    check_pair_guard,
+    enumerate_orbits,
+    hasse,
+)
+from .quiver import BipartiteQuiver, DimensionVector, Interval, TypeAQuiver, interval_table
 from .reps import RankArray, Representation, rank_array
-
-
-@dataclass(frozen=True)
-class TypeARepresentation:
-    """One matrix per arrow of an arbitrarily oriented path quiver."""
-
-    quiver: TypeAQuiver
-    dims: DimensionVector
-    arrows: tuple[ExactMatrix, ...]  # arrows[i-1] sits over gamma_i
-
-    def __post_init__(self):
-        q = self.quiver
-        if len(self.dims) != q.vertex_count:
-            raise ShapeError("dimension vector does not match the quiver")
-        if len(self.arrows) != q.arrow_count:
-            raise ShapeError("wrong number of arrow matrices")
-        field = None
-        for i in range(1, q.arrow_count + 1):
-            m = self.arrows[i - 1]
-            want = (self.dims[q.head_vertex(i)], self.dims[q.tail_vertex(i)])
-            if (m.rows, m.cols) != want:
-                raise ShapeError(
-                    f"arrow {i} matrix is {m.rows}x{m.cols}, dims require {want[0]}x{want[1]}"
-                )
-            if field is None:
-                field = m.field
-            elif m.field != field:
-                raise FieldMismatchError("arrow matrices over mismatched fields")
-
-    @property
-    def field(self) -> Field:
-        return self.arrows[0].field if self.arrows else QQ
-
-    def key(self):
-        return tuple(m.key() for m in self.arrows)
-
-
-def zero_typea_rep(q: TypeAQuiver, dims: DimensionVector, field: Field = QQ) -> TypeARepresentation:
-    mats = tuple(
-        ExactMatrix.zeros(field, dims[q.head_vertex(i)], dims[q.tail_vertex(i)])
-        for i in range(1, q.arrow_count + 1)
-    )
-    return TypeARepresentation(q, dims, mats)
-
-
-def act_typea(g, v: TypeARepresentation) -> TypeARepresentation:
-    """Base change action on a representation of the oriented path."""
-    q = v.quiver
-    if len(g) != q.vertex_count:
-        raise InputError("need one group element per vertex")
-    mats = []
-    for i in range(1, q.arrow_count + 1):
-        h, t = q.head_vertex(i), q.tail_vertex(i)
-        mats.append(g[h].multiply(v.arrows[i - 1]).multiply(g[t].inverse()))
-    return TypeARepresentation(q, v.dims, tuple(mats))
 
 
 @dataclass(frozen=True)
@@ -185,7 +139,7 @@ def lift_dimension(ctx: ReductionContext, dims: DimensionVector) -> DimensionVec
     return DimensionVector(tuple(out))
 
 
-def lift_rep(ctx: ReductionContext, v: TypeARepresentation) -> Representation:
+def lift_rep(ctx: ReductionContext, v: Representation) -> Representation:
     """Place each original matrix over its image edge and identities over the
     inserted arrows; the result lies in the open locus by construction."""
     if v.quiver != ctx.source:
@@ -198,9 +152,9 @@ def lift_rep(ctx: ReductionContext, v: TypeARepresentation) -> Representation:
         mats[ctx.arrow_map[i - 1] - 1] = v.arrows[i - 1]
     for i, e in ctx.delta_edges.items():
         mats[e - 1] = ExactMatrix.identity(field, v.dims[i])
-    for e in q.edges():
-        if mats[e - 1] is None:
-            mats[e - 1] = ExactMatrix.zeros(field, dims[q.head_pos(e)], dims[q.tail_pos(e)])
+    for k, (h, t) in enumerate(q.arrows):
+        if mats[k] is None:
+            mats[k] = ExactMatrix.zeros(field, dims[h], dims[t])
     return Representation(q, dims, tuple(mats))
 
 
@@ -212,7 +166,7 @@ def in_open_locus(ctx: ReductionContext, vt: Representation) -> bool:
     return True
 
 
-def project(ctx: ReductionContext, vt: Representation) -> TypeARepresentation:
+def project(ctx: ReductionContext, vt: Representation) -> Representation:
     """Compose out the inserted arrows: over a sink junction the original
     arrow becomes delta^-1 * gamma, over a source junction gamma * delta^-1."""
     if vt.quiver != ctx.target:
@@ -239,7 +193,7 @@ def project(ctx: ReductionContext, vt: Representation) -> TypeARepresentation:
             mats.append(g.multiply(delta_inv[i]))
         else:
             mats.append(g)
-    out = TypeARepresentation(src, dims, tuple(mats))
+    out = Representation(src, dims, tuple(mats))
     if out.field != field and out.arrows:
         raise FieldMismatchError("projection changed fields")  # unreachable
     return out
@@ -275,6 +229,34 @@ def project_group(ctx: ReductionContext, gt):
     return tuple(gt[pos] for pos in ctx.vertex_map)
 
 
-def rank_array_arbitrary(ctx: ReductionContext, v: TypeARepresentation) -> RankArray:
+def rank_array_arbitrary(ctx: ReductionContext, v: Representation) -> RankArray:
     """Rank array of the lift: a complete orbit invariant for the source."""
     return rank_array(lift_rep(ctx, v))
+
+
+def open_locus_poset(
+    ctx: ReductionContext, dims: DimensionVector, guard: int = DEFAULT_LACE_GUARD
+) -> DegenerationPoset:
+    """Degeneration poset of the source quiver, carried by the double.
+
+    The lifts of the source orbits are the orbits of the double whose delta
+    maps are invertible: the rank on each delta edge's one-arrow interval is
+    the junction's dimension d_i.  Only these nodes are kept; rank >= d_i is
+    upward closed, so they form an upper set of the rank order and their
+    covers are the double's covers between them.  A lifted orbit is the
+    source orbit times a GL(d_i) per junction, so each dimension drops by
+    the sum of d_i**2.  Quiver, dims, rank and lace arrays stay those of the
+    double, whose intervals index the arrays.  The guard bounds the
+    double's lace search and the kept nodes' pairs.
+    """
+    q, lifted = ctx.target, lift_dimension(ctx, dims)
+    index = interval_table(q.n).index
+    slots = [(index[Interval(e - 1, e)], dims[i]) for i, e in ctx.delta_edges.items()]
+    smooth = sum(dims[i] ** 2 for i in ctx.delta_edges)
+    nodes = [
+        replace(node, dimension=node.dimension - smooth)
+        for node in enumerate_orbits(q, lifted, guard)
+        if all(node.rank.values[s] == d for s, d in slots)
+    ]
+    check_pair_guard(nodes, guard)
+    return hasse(q, lifted, nodes)

@@ -1,9 +1,12 @@
-"""Points of the representation space of a bipartite type A quiver.
+"""Points of the representation space of a type A quiver.
 
-A representation assigns one exact matrix to each arrow.  The ranks of the
-staircase interval matrices form a complete orbit invariant; this module
-computes them and translates back and forth between rank arrays and
-Krull-Schmidt multiplicity (lace) arrays.
+A representation assigns one exact matrix to each arrow, of shape
+d(head) x d(tail), in the order of the quiver's ``arrows`` table; the same
+class serves the bipartite quiver and every oriented path.  For the
+bipartite quiver the ranks of the staircase interval matrices form a
+complete orbit invariant; this module computes them and translates back and
+forth between rank arrays and Krull-Schmidt multiplicity (lace) arrays.
+Other orientations reach the interval calculus through ``reduction``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .quiver import (
     BipartiteQuiver,
     DimensionVector,
     Interval,
+    TypeAQuiver,
     check_dims,
     interval_table,
     vertex_name,
@@ -32,22 +36,21 @@ from .quiver import (
 class Representation:
     """One matrix per arrow, shapes dictated by the dimension vector."""
 
-    quiver: BipartiteQuiver
+    quiver: BipartiteQuiver | TypeAQuiver
     dims: DimensionVector
-    arrows: tuple[ExactMatrix, ...]  # indexed by edge position - 1
+    arrows: tuple[ExactMatrix, ...]  # arrows[k] sits over quiver.arrows[k]
 
     def __post_init__(self):
         q = self.quiver
         check_dims(q, self.dims)
-        if len(self.arrows) != q.edge_count:
-            raise ShapeError(f"expected {q.edge_count} arrow matrices, got {len(self.arrows)}")
+        if len(self.arrows) != len(q.arrows):
+            raise ShapeError(f"expected {len(q.arrows)} arrow matrices, got {len(self.arrows)}")
+        d = self.dims.values
         field = None
-        for e in q.edges():
-            m = self.arrows[e - 1]
-            want = (self.dims[q.head_pos(e)], self.dims[q.tail_pos(e)])
-            if (m.rows, m.cols) != want:
+        for e, (m, (h, t)) in enumerate(zip(self.arrows, q.arrows), start=1):
+            if (m.rows, m.cols) != (d[h], d[t]):
                 raise ShapeError(
-                    f"arrow {e} matrix is {m.rows}x{m.cols}, dims require {want[0]}x{want[1]}"
+                    f"arrow {e} matrix is {m.rows}x{m.cols}, dims require {d[h]}x{d[t]}"
                 )
             if field is None:
                 field = m.field
@@ -67,27 +70,27 @@ class Representation:
         return tuple(m.key() for m in self.arrows)
 
 
-def zero_rep(q: BipartiteQuiver, dims: DimensionVector, field: Field = QQ) -> Representation:
+def zero_rep(
+    q: BipartiteQuiver | TypeAQuiver, dims: DimensionVector, field: Field = QQ
+) -> Representation:
     check_dims(q, dims)
-    mats = tuple(
-        ExactMatrix.zeros(field, dims[q.head_pos(e)], dims[q.tail_pos(e)]) for e in q.edges()
-    )
+    mats = tuple(ExactMatrix.zeros(field, dims[h], dims[t]) for h, t in q.arrows)
     return Representation(q, dims, mats)
 
 
 def indecomposable_rep(q: BipartiteQuiver, j: Interval, field: Field = QQ) -> Representation:
     """The indecomposable supported on interval j: K at each vertex of j,
     identity over each arrow of j."""
-    if j.lo < 0 or j.hi > 2 * q.n:
+    if j.lo < 0 or j.hi >= q.vertex_count:
         raise InputError(f"{j} is not an interval of the quiver")
-    dims = DimensionVector(tuple(1 if j.lo <= p <= j.hi else 0 for p in q.positions()))
+    dims = DimensionVector(tuple(1 if j.lo <= p <= j.hi else 0 for p in range(q.vertex_count)))
     one = ExactMatrix.identity(field, 1)
     mats = []
-    for e in q.edges():
+    for e, (h, t) in enumerate(q.arrows, start=1):
         if j.lo < e <= j.hi:
             mats.append(one)
         else:
-            mats.append(ExactMatrix.zeros(field, dims[q.head_pos(e)], dims[q.tail_pos(e)]))
+            mats.append(ExactMatrix.zeros(field, dims[h], dims[t]))
     return Representation(q, dims, tuple(mats))
 
 
@@ -97,39 +100,36 @@ def direct_sum(u: Representation, v: Representation) -> Representation:
         raise InputError("direct sum over different quivers")
     if u.field != v.field and u.arrows and v.arrows:
         raise FieldMismatchError("direct sum over mismatched fields")
-    q = u.quiver
     dims = DimensionVector(tuple(a + b for a, b in zip(u.dims, v.dims)))
     field = u.field
     mats = []
-    for e in q.edges():
-        a, b = u.matrix(e), v.matrix(e)
+    for a, b in zip(u.arrows, v.arrows):
         m = ExactMatrix.zeros(field, a.rows + b.rows, a.cols + b.cols)
         for i in range(a.rows):
             m.data[i][: a.cols] = a.data[i]
         for i in range(b.rows):
             m.data[a.rows + i][a.cols :] = b.data[i]
         mats.append(m)
-    return Representation(q, dims, tuple(mats))
+    return Representation(u.quiver, dims, tuple(mats))
 
 
 def act(g, v: Representation) -> Representation:
     """Base change action: the matrix over each arrow becomes g_head * M * g_tail^-1.
 
-    ``g`` is a sequence of invertible matrices, one per vertex position.
+    ``g`` is a sequence of invertible matrices, one per vertex.
     """
     q = v.quiver
     if len(g) != q.vertex_count:
         raise InputError("need one group element per vertex")
-    for pos, gz in enumerate(g):
-        if gz.rows != gz.cols or gz.rows != v.dims[pos]:
-            raise ShapeError(f"group element at {vertex_name(pos)} has wrong size")
+    for z, gz in enumerate(g):
+        if gz.rows != gz.cols or gz.rows != v.dims[z]:
+            raise ShapeError(f"group element at vertex {z} has wrong size")
     tail_inv = {}
     mats = []
-    for e in q.edges():
-        h, t = q.head_pos(e), q.tail_pos(e)
+    for m, (h, t) in zip(v.arrows, q.arrows):
         if t not in tail_inv:
             tail_inv[t] = g[t].inverse()
-        mats.append(g[h].multiply(v.matrix(e)).multiply(tail_inv[t]))
+        mats.append(g[h].multiply(m).multiply(tail_inv[t]))
     return Representation(q, v.dims, tuple(mats))
 
 
@@ -169,8 +169,8 @@ def assemble_interval_matrix(v: Representation, j: Interval) -> ExactMatrix:
     z = field.zero()
     data = [[z] * coff for _ in range(off)]
     for e in t.edges():
-        h, tl = q.head_pos(e), q.tail_pos(e)
-        m = v.matrix(e)
+        h, tl = q.arrows[e - 1]
+        m = v.arrows[e - 1]
         ro, co = row_off[h], col_off[tl]
         for i in range(m.rows):
             drow = data[ro + i]
@@ -178,10 +178,6 @@ def assemble_interval_matrix(v: Representation, j: Interval) -> ExactMatrix:
             for k in range(m.cols):
                 drow[co + k] = srow[k]
     return ExactMatrix(field, off, coff, data)
-
-
-def rank_function(v: Representation, j: Interval) -> int:
-    return assemble_interval_matrix(v, j).rank()
 
 
 @dataclass(frozen=True)
@@ -240,7 +236,7 @@ def rank_array(v: Representation) -> RankArray:
     """Ranks of every interval matrix; constant on base-change orbits."""
     table = v.quiver.intervals()
     vals = [0] * table.vertex_count
-    vals.extend(rank_function(v, j) for j in table.arrow_intervals)
+    vals.extend(assemble_interval_matrix(v, j).rank() for j in table.arrow_intervals)
     return RankArray(v.quiver.n, tuple(vals))
 
 

@@ -3,14 +3,16 @@
 Quivers: {"type": "bipartiteA", "n": n} or {"type": "A", "orientation": "RRLL"}.
 Dimension vectors are ordered arrays (path order for bipartite quivers,
 z_0..z_n for oriented ones).  Intervals are {"vertex": "y0"} or
-{"left": "a1", "right": "b3"}.  Representations carry their quiver, dims,
-and an arrow table keyed "a1"/"b1"... (bipartite) or "g1"... (oriented);
-missing keys mean zero matrices.
+{"left": "a1", "right": "b3"}.  Representations have one format for both
+quiver kinds: their quiver, dims, and an arrow table keyed by the quiver's
+``arrow_names`` ("a1"/"b1"... bipartite, "g1"... oriented); missing keys
+mean zero matrices.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
+from .fields import QQ
 from .matrices import ExactMatrix
 from .perms import Permutation
 from .quiver import (
@@ -25,7 +27,7 @@ from .quiver import (
     vertex_pos,
 )
 from .reps import LaceArray, RankArray, Representation
-from .reduction import ReductionContext, TypeARepresentation
+from .reduction import ReductionContext
 
 
 def quiver_to_json(q) -> dict:
@@ -86,68 +88,27 @@ def interval_from_json(obj) -> Interval:
     return Interval.from_edges(left, right)
 
 
-def rep_to_json(v: Representation | TypeARepresentation) -> dict:
-    arrows = {}
-    if isinstance(v, Representation):
-        for e in v.quiver.edges():
-            m = v.matrix(e)
-            if not m.is_zero():
-                arrows[edge_name(e)] = m.to_json()
-    else:
-        for i, m in enumerate(v.arrows, start=1):
-            if not m.is_zero():
-                arrows[f"g{i}"] = m.to_json()
-    return {
-        "quiver": quiver_to_json(v.quiver),
-        "dims": dims_to_json(v.dims),
-        "arrows": arrows,
-    }
-
-
-def rep_from_json(obj, field=None) -> Representation | TypeARepresentation:
+def rep_from_json(obj) -> Representation:
     try:
         q = quiver_from_json(obj["quiver"])
         dims = dims_from_json(obj["dims"])
         arrows = obj.get("arrows", {})
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad representation object: {exc}") from exc
-    mats = {}
-    for key, mobj in arrows.items():
-        mats[key] = ExactMatrix.from_json(mobj)
-    if field is None:
-        for m in mats.values():
-            field = m.field
-            break
-    if field is None:
-        from .fields import QQ
-
-        field = QQ
+    mats = {key: ExactMatrix.from_json(mobj) for key, mobj in arrows.items()}
+    field = next(iter(mats.values())).field if mats else QQ
     for m in mats.values():
         if m.field != field:
             raise InputError("arrow matrices declare different fields")
-    if isinstance(q, BipartiteQuiver):
-        if len(dims) != q.vertex_count:
-            raise InputError("dimension vector does not match the quiver")
-        out = []
-        for e in q.edges():
-            key = edge_name(e)
-            shape = (dims[q.head_pos(e)], dims[q.tail_pos(e)])
-            if key in mats:
-                out.append(mats[key])
-            else:
-                out.append(ExactMatrix.zeros(field, *shape))
-        return Representation(q, dims, tuple(out))
     if len(dims) != q.vertex_count:
         raise InputError("dimension vector does not match the quiver")
     out = []
-    for i in range(1, q.arrow_count + 1):
-        key = f"g{i}"
-        shape = (dims[q.head_vertex(i)], dims[q.tail_vertex(i)])
+    for key, (h, t) in zip(q.arrow_names, q.arrows):
         if key in mats:
             out.append(mats[key])
         else:
-            out.append(ExactMatrix.zeros(field, *shape))
-    return TypeARepresentation(q, dims, tuple(out))
+            out.append(ExactMatrix.zeros(field, dims[h], dims[t]))
+    return Representation(q, dims, tuple(out))
 
 
 def rank_array_to_json(r: RankArray) -> list:
@@ -156,23 +117,6 @@ def rank_array_to_json(r: RankArray) -> list:
         {"interval": interval_to_json(j), "rank": r.values[i]}
         for i, j in enumerate(table.intervals)
     ]
-
-
-def rank_array_from_json(obj, n: int) -> RankArray:
-    table = interval_table(n)
-    vals = [None] * len(table)
-    try:
-        for item in obj:
-            j = interval_from_json(item["interval"])
-            idx = table.index.get(j)
-            if idx is None:
-                raise InputError(f"{j} is not an interval of the quiver")
-            vals[idx] = int(item["rank"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad rank array object: {exc}") from exc
-    if any(v is None for v in vals):
-        raise InputError("rank array does not cover every interval")
-    return RankArray(n, tuple(vals))
 
 
 def lace_array_to_json(s: LaceArray) -> list:
@@ -190,10 +134,6 @@ def permutation_to_json(p: Permutation) -> list:
 
 def boxes_to_json(boxes) -> list:
     return [list(b) for b in sorted(boxes)]
-
-
-def minor_specs_to_json(specs) -> list:
-    return [s.to_json() for s in specs]
 
 
 def reduction_context_to_json(ctx: ReductionContext) -> dict:

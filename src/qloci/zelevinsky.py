@@ -352,13 +352,6 @@ class MinorSpec:
     size: int
     source: str
 
-    def to_json(self) -> dict:
-        return {
-            "region": {"rows": list(self.rows), "cols": list(self.cols)},
-            "size": self.size,
-            "source": self.source,
-        }
-
 
 def defining_minor_specs(r: RankArray, dims: DimensionVector) -> list[MinorSpec]:
     """Generator inventories for the two determinantal descriptions of an

@@ -20,7 +20,6 @@ from qloci import (
     Representation,
     TypeAQuiver,
     act,
-    act_typea,
     bipartite_double,
     block_rank_numeric,
     block_rank_symbolic,
@@ -238,14 +237,12 @@ def test_criterion_8_orientation_reduction():
                     [[rng.randrange(3) for _ in range(d[t])] for _ in range(d[h])],
                 )
             )
-        from qloci.reduction import TypeARepresentation
-
-        v = TypeARepresentation(q, d, tuple(mats))
+        v = Representation(q, d, tuple(mats))
         vt = lift_rep(ctx, v)
         gt = tuple(rng.choice(elements[dl[pos]]) for pos in ctx.target.positions())
         moved = act(gt, vt)
         assert in_open_locus(ctx, moved)
-        assert project(ctx, moved) == act_typea(project_group(ctx, gt), project(ctx, vt))
+        assert project(ctx, moved) == act(project_group(ctx, gt), project(ctx, vt))
     _passed(8, "reduction bijection and projection equivariance")
 
 

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from qloci import DimensionVector, TypeAQuiver
 from qloci.cli import main
+from qloci.oracle import orbit_partition, space_dimension
 
 
 def write(tmp_path, name, payload):
@@ -183,6 +185,43 @@ def test_poset_guard_bounds_node_pairs(tmp_path, capsys):
     payload = json.loads(out)
     assert len(payload["nodes"]) == 660
     assert payload["order_equivalence"] == {"pairs_checked": 435600, "consistent": True}
+
+
+@pytest.mark.parametrize(
+    "word, dims",
+    [("RR", (1, 1, 1)), ("RR", (1, 2, 1)), ("RRLL", (1, 1, 1, 1, 1)), ("LRRL", (1, 1, 1, 1, 1))],
+)
+def test_oriented_poset_matches_the_oracle(tmp_path, capsys, word, dims):
+    q = TypeAQuiver(word)
+    d = DimensionVector(dims)
+    quiver = write(tmp_path, "q.json", {"type": "A", "orientation": word})
+    argv = ["poset", "--quiver", quiver, "--dims", ",".join(map(str, dims)), "--format", "json"]
+    code, out, _ = run_main(capsys, argv)
+    assert code == 0
+    nodes = json.loads(out)["nodes"]
+    assert len(nodes) == len(orbit_partition(q, d, 2).orbits)
+    assert max(node["dimension"] for node in nodes) == space_dimension(q, d)
+
+
+def test_oriented_poset_guard_counts_kept_pairs(tmp_path, capsys):
+    # RR (2,2,2): the double's lace search visits 261 nodes and finds 35
+    # orbits (1,225 pairs); the 10 orbits of the open locus leave 100 pairs
+    quiver = write(tmp_path, "q.json", {"type": "A", "orientation": "RR"})
+    argv = ["poset", "--quiver", quiver, "--dims", "2,2,2", "--format", "json", "--guard", "300"]
+    code, out, _ = run_main(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["nodes"]) == 10
+    assert payload["order_equivalence"]["pairs_checked"] == 100
+
+
+@pytest.mark.parametrize(
+    "argv", [["decompose", "--seed", "1"], ["poset", "--field", "Q"]]
+)
+def test_options_a_command_does_not_read_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_reduce_rrll(tmp_path, capsys):

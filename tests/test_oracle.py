@@ -10,6 +10,7 @@ from qloci import (
     enumerate_reps,
     gl_elements,
     orbit_partition,
+    rank_array,
     verify_rank_determines_orbit,
 )
 from qloci.oracle import gl_order, space_dimension
@@ -123,7 +124,7 @@ def test_census_sizes_sum_to_space_size():
 def test_census_json():
     q = BipartiteQuiver(1)
     census = orbit_partition(q, DimensionVector.of(1, 1, 1), 2)
-    payload = census.to_json()
+    payload = census.to_json(rank_array)
     assert payload["p"] == 2
     assert len(payload["orbits"]) == 4
     for orbit in payload["orbits"]:

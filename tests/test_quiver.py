@@ -8,7 +8,6 @@ from qloci import (
     InputError,
     Interval,
     TypeAQuiver,
-    enumerate_intervals,
     interval_join,
     interval_meet,
     interval_table,
@@ -22,18 +21,18 @@ def J(first_edge, last_edge):
 
 
 def test_enumerate_intervals_n1():
-    names = [j.name() for j in enumerate_intervals(BipartiteQuiver(1))]
+    names = [j.name() for j in interval_table(1).intervals]
     assert names == ["y0", "x1", "y1", "[a1]", "[a1,b1]", "[b1]"]
 
 
 def test_enumerate_intervals_counts():
-    assert len(enumerate_intervals(BipartiteQuiver(2))) == 15
-    assert len(enumerate_intervals(BipartiteQuiver(0))) == 1
+    assert len(interval_table(2).intervals) == 15
+    assert len(interval_table(0).intervals) == 1
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_enumeration_matches_naive_double_loop(n):
-    got = set(enumerate_intervals(BipartiteQuiver(n)))
+    got = set(interval_table(n).intervals)
     want = {Interval.vertex(p) for p in range(2 * n + 1)}
     for a in range(1, 2 * n + 1):
         for b in range(1, 2 * n + 1):
@@ -114,7 +113,7 @@ def test_interval_table_shift_rows_signs():
 
 
 def test_interval_json_round_trip():
-    for j in enumerate_intervals(BipartiteQuiver(2)):
+    for j in interval_table(2).intervals:
         assert interval_from_json(interval_to_json(j)) == j
     assert interval_to_json(Interval.vertex(0)) == {"vertex": "y0"}
     assert interval_to_json(J(1, 4)) == {"left": "a1", "right": "b2"}
@@ -129,6 +128,18 @@ def test_type_a_quiver():
     assert TypeAQuiver("LR").is_bipartite()
     with pytest.raises(InputError):
         TypeAQuiver("RX")
+
+
+def test_arrow_tables_by_hand():
+    q = BipartiteQuiver(2)
+    assert q.arrows == ((0, 1), (2, 1), (2, 3), (4, 3))
+    assert q.arrow_names == ("a1", "b1", "a2", "b2")
+    o = TypeAQuiver("RRLL")
+    assert o.arrows == ((1, 0), (2, 1), (2, 3), (3, 4))
+    assert o.arrow_names == ("g1", "g2", "g3", "g4")
+    # computed once per instance
+    assert q.arrows is q.arrows and o.arrow_names is o.arrow_names
+    assert BipartiteQuiver(0).arrows == () and TypeAQuiver("").arrow_names == ()
 
 
 def test_dimension_vector():

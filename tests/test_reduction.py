@@ -10,10 +10,9 @@ from qloci import (
     GF3,
     NotInOpenLocusError,
     QQ,
+    Representation,
     TypeAQuiver,
-    TypeARepresentation,
     act,
-    act_typea,
     bipartite_double,
     lift_dimension,
     lift_rep,
@@ -21,7 +20,7 @@ from qloci import (
     project_group,
     rank_array,
     rank_array_arbitrary,
-    zero_typea_rep,
+    zero_rep,
 )
 from qloci.oracle import gl_elements, iter_reps, orbit_partition
 from qloci.quiver import vertex_name
@@ -45,7 +44,7 @@ def random_typea_rep(q, dims, p, rng):
                 [[rng.randrange(p) for _ in range(dims[t])] for _ in range(dims[h])],
             )
         )
-    return TypeARepresentation(q, dims, tuple(mats))
+    return Representation(q, dims, tuple(mats))
 
 
 def random_group(dims, p, rng):
@@ -111,7 +110,7 @@ def test_lift_and_project_round_trip():
 def test_lift_identity_blocks():
     ctx = bipartite_double(QCOVER)
     d = DimensionVector.of(1, 2, 2, 1, 1)
-    lifted = lift_rep(ctx, zero_typea_rep(QCOVER, d, GF3))
+    lifted = lift_rep(ctx, zero_rep(QCOVER, d, GF3))
     for i, e in ctx.delta_edges.items():
         assert lifted.matrix(e) == ExactMatrix.identity(GF3, d[i])
 
@@ -119,7 +118,7 @@ def test_lift_identity_blocks():
 def test_project_rejects_singular_delta():
     ctx = bipartite_double(QCOVER)
     d = DimensionVector.of(1, 1, 1, 1, 1)
-    lifted = lift_rep(ctx, zero_typea_rep(QCOVER, d, GF2))
+    lifted = lift_rep(ctx, zero_rep(QCOVER, d, GF2))
     mats = list(lifted.arrows)
     e = ctx.delta_edges[1]
     mats[e - 1] = ExactMatrix.zeros(GF2, 1, 1)
@@ -143,7 +142,7 @@ def test_projection_equivariance_random():
         moved = act(gt, vt)
         assert in_open_locus(ctx, moved)
         left = project(ctx, moved)
-        right = act_typea(project_group(ctx, gt), project(ctx, vt))
+        right = act(project_group(ctx, gt), project(ctx, vt))
         assert left == right
 
 
@@ -163,7 +162,7 @@ def test_rank_array_arbitrary_is_isomorphism_invariant():
     for _ in range(10):
         v = random_typea_rep(QCOVER, d, 3, rng)
         g = random_group(d, 3, rng)
-        assert rank_array_arbitrary(ctx, act_typea(g, v)) == rank_array_arbitrary(ctx, v)
+        assert rank_array_arbitrary(ctx, act(g, v)) == rank_array_arbitrary(ctx, v)
 
 
 def test_rank_array_arbitrary_on_bipartite_word_matches_direct():

@@ -7,6 +7,7 @@ from qloci import (
     BipartiteQuiver,
     DimensionVector,
     ExactMatrix,
+    FieldMismatchError,
     GF2,
     GF3,
     Interval,
@@ -15,6 +16,8 @@ from qloci import (
     QQ,
     RankArray,
     Representation,
+    ShapeError,
+    TypeAQuiver,
     act,
     assemble_interval_matrix,
     direct_sum,
@@ -22,7 +25,6 @@ from qloci import (
     interval_table,
     lace_to_rank,
     rank_array,
-    rank_function,
     rank_to_lace,
     rep_from_lace,
     validate_rank_array,
@@ -30,6 +32,7 @@ from qloci import (
 )
 from qloci.oracle import gl_elements, iter_reps
 from qloci.quiver import shared_arrows
+from qloci.serde import quiver_to_json, rep_from_json
 
 
 def J(a, b):
@@ -95,14 +98,14 @@ def test_interval_matrix_n1_stack():
 
 def test_rank_function_examples():
     ind = indecomposable_rep(BipartiteQuiver(1), J(1, 2))
-    assert rank_function(ind, J(1, 1)) == 1
+    assert assemble_interval_matrix(ind, J(1, 1)).rank() == 1
     q = BipartiteQuiver(2)
     z = zero_rep(q, DimensionVector.of(2, 1, 2, 1, 2))
     for j in q.intervals().intervals:
-        assert rank_function(z, j) == 0
+        assert assemble_interval_matrix(z, j).rank() == 0
     # an indecomposable with four arrows has rank ceil(4/2)=2 on its own interval
     ind4 = indecomposable_rep(q, J(1, 4))
-    assert rank_function(ind4, J(1, 4)) == 2
+    assert assemble_interval_matrix(ind4, J(1, 4)).rank() == 2
 
 
 def test_rank_array_examples():
@@ -281,3 +284,26 @@ def test_krull_schmidt_realization():
         w = rep_from_lace(q, s, GF2)
         assert w.dims == v.dims
         assert rank_array(w) == r
+
+
+@pytest.mark.parametrize("q", [BipartiteQuiver(2), TypeAQuiver("RRLL")])
+def test_representation_checks_follow_the_arrow_table(q):
+    dims = DimensionVector.of(1, 2, 1, 3, 2)
+    z = zero_rep(q, dims, GF3)
+    assert [(m.rows, m.cols) for m in z.arrows] == [(dims[h], dims[t]) for h, t in q.arrows]
+    with pytest.raises(ShapeError):
+        Representation(q, dims, z.arrows[:-1])
+    h, t = q.arrows[0]
+    with pytest.raises(ShapeError):
+        Representation(q, dims, (ExactMatrix.zeros(GF3, dims[h] + 1, dims[t]),) + z.arrows[1:])
+    with pytest.raises(FieldMismatchError):
+        Representation(q, dims, (ExactMatrix.zeros(GF2, dims[h], dims[t]),) + z.arrows[1:])
+    # only the first arrow is given; the missing keys become zero matrices
+    first = ExactMatrix(GF3, dims[h], dims[t], [[1] * dims[t] for _ in range(dims[h])])
+    obj = {
+        "quiver": quiver_to_json(q),
+        "dims": list(dims.values),
+        "arrows": {q.arrow_names[0]: first.to_json()},
+    }
+    v = rep_from_json(obj)
+    assert v == Representation(q, dims, (first,) + z.arrows[1:])
