@@ -53,9 +53,6 @@ class ExactMatrix:
         data = [[o if i == j else z for j in range(size)] for i in range(size)]
         return cls(field, size, size, data)
 
-    def row(self, i: int):
-        return tuple(self.data[i])
-
     def transpose(self) -> "ExactMatrix":
         data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return ExactMatrix(self.field, self.cols, self.rows, data)
@@ -118,28 +115,6 @@ class ExactMatrix:
                     orow.append(acc)
                 out.append(orow)
         return ExactMatrix(f, self.rows, other.cols, out)
-
-    def __matmul__(self, other):
-        return self.multiply(other)
-
-    def add(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.field != other.field:
-            raise FieldMismatchError("sum over mismatched fields")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("sum of differently shaped matrices")
-        f = self.field
-        data = [
-            [f.add(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ]
-        return ExactMatrix(f, self.rows, self.cols, data)
-
-    def scale(self, scalar) -> "ExactMatrix":
-        f = self.field
-        s = f.normalize(scalar)
-        return ExactMatrix(
-            f, self.rows, self.cols, [[f.mul(s, v) for v in row] for row in self.data]
-        )
 
     def inverse(self) -> "ExactMatrix":
         """Exact inverse via Gauss-Jordan; raises on non-square or singular input."""

@@ -7,6 +7,12 @@ bipartite quiver the ranks of the staircase interval matrices form a
 complete orbit invariant; this module computes them and translates back and
 forth between rank arrays and Krull-Schmidt multiplicity (lace) arrays.
 Other orientations reach the interval calculus through ``reduction``.
+
+Every interval matrix with left endpoint lo is, up to a column permutation,
+a northwest block of one matrix M_lo (the arrow maps with both ends at or
+right of lo), so ``rank_array`` reads all of its ranks from one pivot
+profile per left endpoint; ``assemble_interval_matrix`` builds a single
+interval matrix and is the reference the rank array is tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import (
     ShapeError,
 )
 from .fields import Field, QQ
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, _pivot_profile
 from .quiver import (
     BipartiteQuiver,
     DimensionVector,
@@ -233,11 +239,50 @@ class LaceArray:
 
 
 def rank_array(v: Representation) -> RankArray:
-    """Ranks of every interval matrix; constant on base-change orbits."""
-    table = v.quiver.intervals()
+    """Ranks of every interval matrix; constant on base-change orbits.
+
+    Fix a left endpoint lo and let M_lo hold every arrow map with both ends
+    at positions >= lo: its rows are the sinks >= lo and its columns the
+    sources >= lo, each in ascending order (the snake matrix's column order
+    reversed).  The interval matrix of [lo, hi] is M_lo's northwest block on
+    the vertices <= hi, up to a column permutation, so one pivot profile of
+    M_lo gives every rank with left endpoint lo: a profile pair counts
+    towards [lo, hi] once both its row and its column lie on vertices <= hi.
+    That is 2n profiles in place of one elimination per interval.
+    """
+    q = v.quiver
+    table = q.intervals()
+    top = 2 * q.n
+    d = v.dims.values
+    # the vertex of each row (sinks) and column (sources) of M_0, and the
+    # first row and column of M_lo
+    row_vertex, col_vertex = [], []
+    first_row, first_col = [0] * (top + 2), [0] * (top + 2)
+    for p in range(top + 1):
+        (col_vertex if p % 2 else row_vertex).extend([p] * d[p])
+        first_row[p + 1] = len(row_vertex)
+        first_col[p + 1] = len(col_vertex)
+    field = v.field
+    z = field.zero()
+    data = [[z] * len(col_vertex) for _ in row_vertex]
+    for (h, t), m in zip(q.arrows, v.arrows):
+        ro, co = first_row[h], first_col[t]
+        for i, srow in enumerate(m.data):
+            data[ro + i][co : co + m.cols] = srow
     vals = [0] * table.vertex_count
-    vals.extend(assemble_interval_matrix(v, j).rank() for j in table.arrow_intervals)
-    return RankArray(v.quiver.n, tuple(vals))
+    for lo in range(top):
+        r0, c0 = first_row[lo], first_col[lo]
+        sub = [row[c0:] for row in data[r0:]]
+        profile = _pivot_profile(ExactMatrix(field, len(sub), len(col_vertex) - c0, sub))
+        # entering[hi]: profile pairs whose row and column both lie <= hi
+        entering = [0] * (top + 1)
+        for i, c in profile:
+            entering[max(row_vertex[r0 + i], col_vertex[c0 + c])] += 1
+        acc = 0
+        for hi in range(lo + 1, top + 1):
+            acc += entering[hi]
+            vals.append(acc)
+    return RankArray(q.n, tuple(vals))
 
 
 def lace_to_rank(s: LaceArray) -> RankArray:

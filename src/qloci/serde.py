@@ -6,7 +6,7 @@ z_0..z_n for oriented ones).  Intervals are {"vertex": "y0"} or
 {"left": "a1", "right": "b3"}.  Representations have one format for both
 quiver kinds: their quiver, dims, and an arrow table keyed by the quiver's
 ``arrow_names`` ("a1"/"b1"... bipartite, "g1"... oriented); missing keys
-mean zero matrices.
+mean zero matrices, and a key the quiver lacks is refused.
 """
 
 from __future__ import annotations
@@ -95,6 +95,14 @@ def rep_from_json(obj) -> Representation:
         arrows = obj.get("arrows", {})
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad representation object: {exc}") from exc
+    if not isinstance(arrows, dict):
+        raise InputError("'arrows' must be an object keyed by arrow name")
+    unknown = sorted(set(arrows) - set(q.arrow_names))
+    if unknown:
+        raise InputError(
+            f"unknown arrow keys {', '.join(map(repr, unknown))} for this quiver; "
+            f"its arrows are {', '.join(q.arrow_names) or 'none'}"
+        )
     mats = {key: ExactMatrix.from_json(mobj) for key, mobj in arrows.items()}
     field = next(iter(mats.values())).field if mats else QQ
     for m in mats.values():

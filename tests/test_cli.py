@@ -111,6 +111,20 @@ def test_zelevinsky_rejects_oriented_input_without_reduce(tmp_path, capsys):
     assert code == 0
 
 
+def test_unknown_arrow_keys_exit_2(tmp_path, capsys):
+    one = {"rows": 1, "cols": 1, "field": "Fp:2", "entries": [[1]]}
+    payload = {
+        "quiver": {"type": "A", "orientation": "RR"},
+        "dims": [1, 1, 1],
+        "arrows": {"a1": one, "g2": one},
+    }
+    rep = write(tmp_path, "rep.json", payload)
+    code, out, err = run_main(capsys, ["zelevinsky", "--rep", rep, "--reduce", "--format", "json"])
+    assert code == 2
+    assert not out
+    assert "'a1'" in err and "'g2'" not in err
+
+
 def _check_dot_structure(dot):
     assert dot.startswith("digraph")
     body = dot[dot.index("{") + 1 : dot.rindex("}")]

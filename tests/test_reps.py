@@ -1,4 +1,6 @@
 import random
+import sys
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -30,8 +32,10 @@ from qloci import (
     validate_rank_array,
     zero_rep,
 )
+from qloci.fields import PrimeField
 from qloci.oracle import gl_elements, iter_reps
 from qloci.quiver import shared_arrows
+from qloci.reduction import bipartite_double, lift_rep
 from qloci.serde import quiver_to_json, rep_from_json
 
 
@@ -159,6 +163,79 @@ def test_rank_to_lace_examples():
     s = rank_to_lace(rank1(0, 0, 0), d)
     by = {j.name(): v for j, v in s.as_dict().items()}
     assert (by["y0"], by["x1"], by["y1"]) == (1, 1, 1)
+
+
+def interval_ranks(v):
+    """The per-interval reference: assemble and rank each interval matrix."""
+    table = v.quiver.intervals()
+    ranks = [0] * table.vertex_count
+    ranks += [assemble_interval_matrix(v, j).rank() for j in table.arrow_intervals]
+    return RankArray(v.quiver.n, tuple(ranks))
+
+
+def random_rep(q, dims, field, rng):
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        if field == QQ:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return rng.randrange(field.p)
+
+    mats = tuple(
+        ExactMatrix(
+            field,
+            dims[h],
+            dims[t],
+            [[field.normalize(entry()) for _ in range(dims[t])] for _ in range(dims[h])],
+        )
+        for h, t in q.arrows
+    )
+    return Representation(q, dims, mats)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, PrimeField(32003), QQ], ids=str)
+def test_rank_array_matches_interval_matrices_random(field):
+    rng = random.Random(field.tag)
+    for n in range(5):
+        q = BipartiteQuiver(n)
+        for _ in range(40):
+            # dims 0..3, so zero-dimensional vertices come up often
+            dims = DimensionVector(tuple(rng.randint(0, 3) for _ in q.positions()))
+            v = random_rep(q, dims, field, rng)
+            assert rank_array(v) == interval_ranks(v)
+
+
+def test_rank_array_matches_interval_matrices_lifted_census():
+    ctx = bipartite_double(TypeAQuiver("RRLL"))
+    count = 0
+    for v in iter_reps(ctx.source, DimensionVector.of(1, 2, 1, 2, 2), 2):
+        lifted = lift_rep(ctx, v)
+        assert rank_array(lifted) == interval_ranks(lifted)
+        count += 1
+    assert count == 2**10
+
+
+def test_rank_array_takes_one_profile_per_left_endpoint():
+    # a call-event hook sees every Python call, however the callee is bound
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            calls.append((frame.f_code.co_filename, frame.f_code.co_name))
+
+    rng = random.Random(29)
+    for n in range(5):
+        q = BipartiteQuiver(n)
+        v = random_rep(q, DimensionVector(tuple(rng.randint(1, 2) for _ in q.positions())), GF3, rng)
+        calls.clear()
+        sys.setprofile(hook)
+        try:
+            rank_array(v)
+        finally:
+            sys.setprofile(None)
+        profiles = sum(name == "_pivot_profile" for _, name in calls)
+        assert profiles <= 2 * n and (profiles > 0) == (n > 0)
+        assert not [c for c in calls if c[0].endswith("zelevinsky.py")]
 
 
 def test_validate_rank_array():
