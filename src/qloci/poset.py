@@ -19,8 +19,17 @@ from .perms import (
     packed_rank_tables,
     zelevinsky_permutation,
 )
-from .quiver import BipartiteQuiver, DimensionVector, check_dims, d_x, d_y, interval_table
-from .reps import LaceArray, RankArray, Representation, lace_to_rank, rank_array
+from .quiver import (
+    BipartiteQuiver,
+    DimensionVector,
+    check_dims,
+    d_x,
+    d_y,
+    field_width,
+    interval_table,
+    unpack_fields,
+)
+from .reps import LaceArray, RankArray, Representation, rank_array
 from .zelevinsky import block_rank_symbolic, layout_for
 
 # Ceiling on the lace-search nodes visited; the search visits a few nodes
@@ -56,72 +65,121 @@ class DegenerationPoset:
 def iter_lace_values(q: BipartiteQuiver, dims: DimensionVector, guard: int = DEFAULT_LACE_GUARD):
     """Yield every multiplicity tuple with the prescribed per-vertex totals.
 
-    Depth-first over intervals sorted by left endpoint; once the scan passes
-    a vertex, its remaining capacity must be exactly zero.  The guard bounds
-    the search nodes actually visited: GuardExceededError is raised as soon
-    as the count passes it.
+    The tuples come in the order of `_lace_search`, which also counts the
+    search nodes against the guard: GuardExceededError is raised as soon as
+    the count of visited nodes passes it.
     """
     check_dims(q, dims)
-    table = interval_table(q.n)
-    order = sorted(range(len(table)), key=lambda i: (table.intervals[i].lo, table.intervals[i].hi))
-    spans = [(table.intervals[i].lo, table.intervals[i].hi) for i in order]
+    for values, _ in _lace_search(interval_table(q.n), dims, guard, _rank_width(dims)):
+        yield values
+
+
+def _rank_width(dims: DimensionVector) -> int:
+    """Packed field width for rank arrays of dims: a rank is at most sum(dims)."""
+    return field_width(sum(dims.values))
+
+
+def _lace_search(table, dims: DimensionVector, guard: int, width: int, allowed: int = -1):
+    """Depth-first search over the multiplicity tuples with the given
+    per-vertex totals, yielding (tuple, packed rank array) pairs.
+
+    Intervals are taken in order of (left endpoint, right endpoint), each
+    multiplicity from its largest possible value down to 0; intervals whose
+    bit in ``allowed`` is clear stay at 0 and are not searched.  Once the
+    scan passes a vertex, its remaining capacity must be exactly zero, or
+    the node is cut.  The search keeps its own stack: per depth the current
+    multiplicity and the frontier (the first vertex that may still have
+    capacity).  Alongside the tuple it carries the rank array packed by
+    ``table.packed("weights", width)``: setting interval j to m adds m times
+    packed row j, and each step of m down subtracts the row once.  Every
+    node visited counts against the guard.
+    """
+    rows = table.packed("weights", width)
+    ivs = table.intervals
+    order = sorted(
+        (i for i in range(len(table)) if allowed >> i & 1), key=lambda i: (ivs[i].lo, ivs[i].hi)
+    )
+    depth = len(order)
+    los = [ivs[i].lo for i in order]
+    his = [ivs[i].hi + 1 for i in order]
+    packed_rows = [rows[i] for i in order]
     remaining = list(dims.values)
     values = [0] * len(table)
+    mults = [0] * depth
+    frontiers = [0] * depth
+    packed = 0
     visited = 0
-
-    def rec(k: int, frontier: int):
-        nonlocal visited
+    k = f = 0  # the node to visit: its depth and its frontier
+    while True:
         visited += 1
         if visited > guard:
             raise GuardExceededError(f"lace search visited more than {guard} nodes")
-        if k == len(order):
-            if all(v == 0 for v in remaining[frontier:]):
-                yield tuple(values)
-            return
-        lo, hi = spans[k]
-        # positions strictly left of lo can no longer be covered
-        f = frontier
-        while f < lo:
-            if remaining[f] != 0:
+        if k == depth:
+            if not any(remaining[f:]):
+                yield tuple(values), packed
+        else:
+            lo = los[k]
+            while f < lo and not remaining[f]:
+                f += 1
+            if f == lo:
+                hi = his[k]
+                m = min(remaining[lo:hi])
+                mults[k] = m
+                frontiers[k] = f
+                if m:
+                    for p in range(lo, hi):
+                        remaining[p] -= m
+                    values[order[k]] = m
+                    packed += m * packed_rows[k]
+                k += 1
+                continue
+        # back up to the deepest interval whose multiplicity can still drop
+        while True:
+            k -= 1
+            if k < 0:
                 return
-            f += 1
-        cap = min(remaining[p] for p in range(lo, hi + 1))
-        idx = order[k]
-        for m in range(cap, -1, -1):
+            m = mults[k]
             if m:
-                for p in range(lo, hi + 1):
-                    remaining[p] -= m
-            values[idx] = m
-            yield from rec(k + 1, f)
-            if m:
-                for p in range(lo, hi + 1):
-                    remaining[p] += m
-        values[idx] = 0
-
-    yield from rec(0, 0)
+                break
+        m -= 1
+        mults[k] = m
+        for p in range(los[k], his[k]):
+            remaining[p] += 1
+        values[order[k]] = m
+        packed -= packed_rows[k]
+        f = frontiers[k]
+        k += 1
 
 
 def enumerate_orbits(
-    q: BipartiteQuiver, dims: DimensionVector, guard: int = DEFAULT_LACE_GUARD
+    q: BipartiteQuiver,
+    dims: DimensionVector,
+    guard: int = DEFAULT_LACE_GUARD,
+    allowed: int = -1,
 ) -> list[OrbitNode]:
     """One node per isomorphism class with the given dimension vector.
 
     Classes are enumerated through their multiplicity arrays, so the list is
-    complete and exact; rank arrays, permutations, and dimensions follow by
-    the symbolic pipeline.
+    complete and exact; the lace search hands over each rank array packed,
+    and permutations and dimensions follow by the symbolic pipeline.
+    ``allowed`` is a bitmask over the canonical interval slots: only classes
+    whose summands all lie on allowed intervals are enumerated, and the
+    guard counts only the nodes of that narrower search.
     """
     spec = layout_for(q, dims).block_spec()
+    table = interval_table(q.n)
+    width = _rank_width(dims)
+    count = len(table)
     product = d_x(dims) * d_y(dims)
     nodes = []
-    for values in iter_lace_values(q, dims, guard):
-        lace = LaceArray(q.n, values)
-        r = lace_to_rank(lace)
+    for values, packed in _lace_search(table, dims, guard, width, allowed):
+        r = RankArray(q.n, unpack_fields(packed, width, count))
         b = block_rank_symbolic(r, dims)
         v = zelevinsky_permutation(b, spec)
         nodes.append(
             OrbitNode(
                 rank=r,
-                lace=lace,
+                lace=LaceArray(q.n, values),
                 permutation=v,
                 length=inversion_length(v),
                 dimension=product - length_from_blocks(b),

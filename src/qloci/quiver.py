@@ -17,6 +17,7 @@ the codecs read only these, so they serve every orientation alike.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -242,8 +243,8 @@ class IntervalTable:
     Holds the canonical interval ordering (``intervals``: vertex intervals
     by position, then arrow intervals by left endpoint and length), the
     shift/meet/join bookkeeping behind the multiplicity formula,
-    interval-pair weights for the rank formula, and per-vertex coverage
-    lists.
+    interval-pair weights for the rank formula, and the vertices each arrow
+    interval holds.
     """
 
     def __init__(self, n: int):
@@ -281,20 +282,36 @@ class IntervalTable:
             )
         self.shift_rows = tuple(shift_rows)
 
-        self.coverage = tuple(
-            tuple(
-                self.index[j]
-                for j in self.intervals
-                if not j.is_vertex and j.lo <= p <= j.hi
-            )
-            for p in range(top + 1)
-        )
-
         # weights[i][j] = ceil(shared arrows of (intervals[i], intervals[j]) / 2)
         ivs = self.intervals
         self.weights = tuple(
             tuple((shared_arrows(a, b) + 1) // 2 for b in ivs) for a in ivs
         )
+        # supports[k][p] = 1 when the arrow interval arrow_intervals[k] holds p
+        self.supports = tuple(
+            tuple(int(j.lo <= p <= j.hi) for p in range(top + 1)) for j in arrows
+        )
+        self._packed = {}
+
+    def packed(self, rows: str, width: int) -> tuple[int, ...]:
+        """Each row of ``weights`` or ``supports`` (named by ``rows``) packed
+        into one integer: entry i is a field of ``width`` bytes at byte
+        offset ``width * i`` (read back by `unpack_fields`).
+
+        Adding m times packed row j of ``weights`` to a packed rank array
+        adds the ranks of m copies of the indecomposable on interval j; no
+        field carries into the next while every value stays below
+        256**width.
+        """
+        key = (rows, width)
+        out = self._packed.get(key)
+        if out is None:
+            shift = 8 * width
+            out = tuple(
+                sum(x << shift * i for i, x in enumerate(row)) for row in getattr(self, rows)
+            )
+            self._packed[key] = out
+        return out
 
     def _rank_slot(self, j: Interval | None) -> int:
         if j is None:
@@ -317,6 +334,29 @@ class IntervalTable:
 @lru_cache(maxsize=None)
 def interval_table(n: int) -> IntervalTable:
     return IntervalTable(n)
+
+
+def field_width(bound: int) -> int:
+    """Bytes per packed field that holds every value in 0..bound: 1, 2, 4
+    or 8, or a multiple of 8 beyond that."""
+    size = (bound.bit_length() + 7) // 8
+    if size <= 8:
+        return 1 << max(size - 1, 0).bit_length()
+    return -(-size // 8) * 8
+
+
+_NATIVE_CAST = {2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+
+
+def unpack_fields(x: int, width: int, count: int) -> tuple[int, ...]:
+    """The ``count`` fields of ``width`` bytes packed into x, lowest first."""
+    raw = x.to_bytes(width * count, "little")
+    if width == 1:
+        return tuple(raw)
+    cast = _NATIVE_CAST.get(width)
+    if cast:
+        return tuple(memoryview(raw).cast(cast))
+    return tuple(int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .poset import (
     enumerate_orbits,
     hasse,
 )
-from .quiver import BipartiteQuiver, DimensionVector, Interval, TypeAQuiver, interval_table
+from .quiver import BipartiteQuiver, DimensionVector, TypeAQuiver, interval_table
 from .reps import RankArray, Representation, rank_array
 
 
@@ -240,23 +240,31 @@ def open_locus_poset(
     """Degeneration poset of the source quiver, carried by the double.
 
     The lifts of the source orbits are the orbits of the double whose delta
-    maps are invertible: the rank on each delta edge's one-arrow interval is
-    the junction's dimension d_i.  Only these nodes are kept; rank >= d_i is
+    maps are invertible: the rank on each delta edge e's one-arrow interval
+    [e-1, e] is the junction's dimension d_i, which both ends carry.  That
+    rank counts the summands holding both e-1 and e, so it reaches d_i iff
+    no summand ends at e-1 or starts at e (the second follows from the
+    first, since the summands through e-1 then fill e, but forbidding it
+    cuts the search sooner).  The lace search is restricted to the other
+    intervals and finds exactly these orbits; rank >= d_i is
     upward closed, so they form an upper set of the rank order and their
     covers are the double's covers between them.  A lifted orbit is the
     source orbit times a GL(d_i) per junction, so each dimension drops by
     the sum of d_i**2.  Quiver, dims, rank and lace arrays stay those of the
     double, whose intervals index the arrays.  The guard bounds the
-    double's lace search and the kept nodes' pairs.
+    restricted lace search and the kept nodes' pairs.
     """
     q, lifted = ctx.target, lift_dimension(ctx, dims)
-    index = interval_table(q.n).index
-    slots = [(index[Interval(e - 1, e)], dims[i]) for i, e in ctx.delta_edges.items()]
+    edges = ctx.delta_edges.values()
+    allowed = sum(
+        1 << i
+        for i, j in enumerate(interval_table(q.n).intervals)
+        if all(j.hi != e - 1 and j.lo != e for e in edges)
+    )
     smooth = sum(dims[i] ** 2 for i in ctx.delta_edges)
     nodes = [
         replace(node, dimension=node.dimension - smooth)
-        for node in enumerate_orbits(q, lifted, guard)
-        if all(node.rank.values[s] == d for s, d in slots)
+        for node in enumerate_orbits(q, lifted, guard, allowed)
     ]
     check_pair_guard(nodes, guard)
     return hasse(q, lifted, nodes)

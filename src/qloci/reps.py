@@ -18,6 +18,7 @@ interval matrix and is the reference the rank array is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .errors import (
     FieldMismatchError,
@@ -33,7 +34,9 @@ from .quiver import (
     Interval,
     TypeAQuiver,
     check_dims,
+    field_width,
     interval_table,
+    unpack_fields,
     vertex_name,
 )
 
@@ -225,13 +228,11 @@ class LaceArray:
     def dims(self) -> DimensionVector:
         """The dimension vector of any representation with these multiplicities."""
         table = interval_table(self.n)
-        out = []
-        for p in range(table.vertex_count):
-            total = self.values[p]  # the vertex interval at slot p
-            for i in table.coverage[p]:
-                total += self.values[i]
-            out.append(total)
-        return DimensionVector(tuple(out))
+        vc = table.vertex_count
+        out = self.values[:vc]  # the vertex intervals
+        for m, support in zip(self.values[vc:], table.supports):
+            out = tuple(d + m * x for d, x in zip(out, support))
+        return DimensionVector(out)
 
     def as_dict(self):
         table = interval_table(self.n)
@@ -251,6 +252,11 @@ def rank_array(v: Representation) -> RankArray:
     That is 2n profiles in place of one elimination per interval.
     """
     q = v.quiver
+    if isinstance(q, TypeAQuiver):
+        raise InputError(
+            f"rank arrays are defined on the bipartite quiver; lift the {q.orientation!r} "
+            "representation first (reduction.rank_array_arbitrary)"
+        )
     table = q.intervals()
     top = 2 * q.n
     d = v.dims.values
@@ -287,60 +293,58 @@ def rank_array(v: Representation) -> RankArray:
 
 def lace_to_rank(s: LaceArray) -> RankArray:
     """Rank array of a direct sum with the given multiplicities: each summand
-    supported on J' contributes ceil(shared arrows(J, J') / 2) to the rank at J."""
+    supported on J' contributes ceil(shared arrows(J, J') / 2) to the rank at J.
+
+    The sum runs over packed weight rows (``IntervalTable.packed``), one
+    integer per interval, so each summand type costs one multiply-add.  The
+    fields are sized from the input: a rank is at most the total dimension,
+    itself at most (2n+1) times the sum of the multiplicities.
+    """
     table = interval_table(s.n)
-    out = [0] * len(table)
-    for jj, mult in enumerate(s.values):
-        if mult:
-            wrow = table.weights[jj]
-            for i in range(len(out)):
-                out[i] += mult * wrow[i]
-    return RankArray(s.n, tuple(out))
-
-
-def _arrow_multiplicities(table, values):
-    out = []
-    for (sign, il, ir, im, ij) in table.shift_rows:
-        acc = 0
-        if il >= 0:
-            acc += values[il]
-        if ir >= 0:
-            acc += values[ir]
-        if im >= 0:
-            acc -= values[im]
-        if ij >= 0:
-            acc -= values[ij]
-        out.append(sign * acc)
-    return out
+    values = s.values
+    if min(values) < 0:
+        raise InputError("lace array has a negative multiplicity")
+    width = field_width(sum(values) * table.vertex_count)
+    packed = 0
+    for m, row in zip(values, table.packed("weights", width)):
+        if m:
+            packed += m * row
+    return RankArray(s.n, unpack_fields(packed, width, len(table)))
 
 
 def rank_to_lace(r: RankArray, d: DimensionVector) -> LaceArray:
     """Recover Krull-Schmidt multiplicities from a rank array.
 
     Multiplicities over arrow intervals come from the signed shift formula
-    evaluated with the zero-padded boundary convention; vertex multiplicities
-    are then fixed by the dimension vector.  A negative multiplicity means
-    the input was not a valid rank array and raises.
+    evaluated with the zero-padded boundary convention: one pass over the
+    lookup slots of ``table.shift_rows`` reads the rank values with a 0
+    appended, so slot -1 reads 0.  Vertex multiplicities are then fixed by
+    the dimension vector, less the arrow summands over each vertex (one
+    multiply-add per arrow interval over the packed ``supports`` rows).  A
+    negative multiplicity means the input was not a valid rank array and
+    raises.
     """
     table = interval_table(r.n)
     if len(d) != table.vertex_count:
         raise InputError("dimension vector does not match the quiver")
-    arrow = _arrow_multiplicities(table, r.values)
-    vals = [0] * len(table)
-    for k, j in enumerate(table.arrow_intervals):
-        m = arrow[k]
+    padded = r.values + (0,)
+    arrow = [
+        sign * (padded[il] + padded[ir] - padded[im] - padded[ij])
+        for sign, il, ir, im, ij in table.shift_rows
+    ]
+    for k, m in enumerate(arrow):
         if m < 0:
-            raise NotARankArrayError(f"multiplicity of {j} would be {m}")
-        vals[table.vertex_count + k] = m
-    for p in range(table.vertex_count):
-        covered = sum(vals[i] for i in table.coverage[p])
-        m = d[p] - covered
+            raise NotARankArrayError(f"multiplicity of {table.arrow_intervals[k]} would be {m}")
+    width = field_width(sum(arrow))
+    covered = 0
+    for m, row in zip(arrow, table.packed("supports", width)):
+        if m:
+            covered += m * row
+    vertex = tuple(map(sub, d.values, unpack_fields(covered, width, table.vertex_count)))
+    for p, m in enumerate(vertex):
         if m < 0:
-            raise NotARankArrayError(
-                f"vertex multiplicity at {vertex_name(p)} would be {m}"
-            )
-        vals[p] = m
-    return LaceArray(r.n, tuple(vals))
+            raise NotARankArrayError(f"vertex multiplicity at {vertex_name(p)} would be {m}")
+    return LaceArray(r.n, vertex + tuple(arrow))
 
 
 def validate_rank_array(f: RankArray, d: DimensionVector) -> bool:

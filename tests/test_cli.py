@@ -218,8 +218,9 @@ def test_oriented_poset_matches_the_oracle(tmp_path, capsys, word, dims):
 
 
 def test_oriented_poset_guard_counts_kept_pairs(tmp_path, capsys):
-    # RR (2,2,2): the double's lace search visits 261 nodes and finds 35
-    # orbits (1,225 pairs); the 10 orbits of the open locus leave 100 pairs
+    # RR (2,2,2): the double has 35 orbits (1,225 pairs, 261 search nodes);
+    # the search restricted to the open locus visits 69 nodes and finds its
+    # 10 orbits, which leave 100 pairs
     quiver = write(tmp_path, "q.json", {"type": "A", "orientation": "RR"})
     argv = ["poset", "--quiver", quiver, "--dims", "2,2,2", "--format", "json", "--guard", "300"]
     code, out, _ = run_main(capsys, argv)

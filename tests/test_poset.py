@@ -14,7 +14,7 @@ from qloci import (
     poset_to_dot,
 )
 from qloci.poset import iter_lace_values
-from qloci.quiver import d_x, d_y
+from qloci.quiver import check_dims, d_x, d_y, interval_table
 from qloci.serde import poset_to_json
 
 
@@ -152,6 +152,76 @@ def test_guard_counts_visited_search_nodes():
     assert len(list(iter_lace_values(q, d, guard=25))) == 4
     with pytest.raises(GuardExceededError):
         list(iter_lace_values(q, d, guard=24))
+
+
+def reference_lace_values(q, dims):
+    """The lace search as a recursive generator: depth-first over intervals
+    sorted by (lo, hi), each multiplicity from its cap down to 0, a node cut
+    once the scan passes a vertex with capacity left.  Returns the yielded
+    tuples and the number of nodes visited."""
+    check_dims(q, dims)
+    table = interval_table(q.n)
+    order = sorted(range(len(table)), key=lambda i: (table.intervals[i].lo, table.intervals[i].hi))
+    spans = [(table.intervals[i].lo, table.intervals[i].hi) for i in order]
+    remaining = list(dims.values)
+    values = [0] * len(table)
+    visited = 0
+
+    def rec(k, frontier):
+        nonlocal visited
+        visited += 1
+        if k == len(order):
+            if all(v == 0 for v in remaining[frontier:]):
+                yield tuple(values)
+            return
+        lo, hi = spans[k]
+        f = frontier
+        while f < lo:
+            if remaining[f] != 0:
+                return
+            f += 1
+        cap = min(remaining[p] for p in range(lo, hi + 1))
+        idx = order[k]
+        for m in range(cap, -1, -1):
+            if m:
+                for p in range(lo, hi + 1):
+                    remaining[p] -= m
+            values[idx] = m
+            yield from rec(k + 1, f)
+            if m:
+                for p in range(lo, hi + 1):
+                    remaining[p] += m
+        values[idx] = 0
+
+    found = list(rec(0, 0))
+    return found, visited
+
+
+def test_lace_search_matches_the_recursive_reference():
+    # same tuples in the same order, and the same least guard that passes
+    from itertools import product
+
+    for n in range(4):
+        q = BipartiteQuiver(n)
+        for dims in product(range(3), repeat=2 * n + 1):
+            d = DimensionVector(dims)
+            expected, visited = reference_lace_values(q, d)
+            assert list(iter_lace_values(q, d, guard=visited)) == expected, dims
+            with pytest.raises(GuardExceededError):
+                for _ in iter_lace_values(q, d, guard=visited - 1):
+                    pass
+
+
+def test_enumerate_orbits_ranks_equal_lace_to_rank():
+    from itertools import product
+
+    from qloci.reps import LaceArray, lace_to_rank
+
+    for n in range(3):
+        q = BipartiteQuiver(n)
+        for dims in product(range(3), repeat=2 * n + 1):
+            for node in enumerate_orbits(q, DimensionVector(dims)):
+                assert node.rank == lace_to_rank(node.lace)
 
 
 def test_lace_values_cover_every_dimension_split():

@@ -213,3 +213,67 @@ def test_fiber_transitivity_exhaustive_small():
             g[ctx.doubled_vertex[1]] = gw
             reachable.add(act(tuple(g), base).key())
         assert reachable == {vt.key() for vt in group}
+
+
+def post_filter_poset(ctx, dims):
+    """The open-locus poset by its definition: enumerate every orbit of the
+    double, keep those whose rank on each delta edge's one-arrow interval
+    equals the junction's dimension, then take the covers among them."""
+    from dataclasses import replace
+
+    from qloci.poset import enumerate_orbits, hasse
+    from qloci.quiver import Interval, interval_table
+
+    q, lifted = ctx.target, lift_dimension(ctx, dims)
+    index = interval_table(q.n).index
+    slots = [(index[Interval(e - 1, e)], dims[i]) for i, e in ctx.delta_edges.items()]
+    smooth = sum(dims[i] ** 2 for i in ctx.delta_edges)
+    nodes = [
+        replace(node, dimension=node.dimension - smooth)
+        for node in enumerate_orbits(q, lifted, 10**60)
+        if all(node.rank.values[s] == d for s, d in slots)
+    ]
+    return hasse(q, lifted, nodes)
+
+
+def selftest_oriented_cases():
+    import json
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "poset_oriented.json"
+    return [(job["quiver"], tuple(job["dims"])) for job in json.loads(path.read_text("utf-8"))]
+
+
+OPEN_LOCUS_CASES = (
+    [("RR", d) for d in product(range(3), repeat=3)]
+    + [(w, d) for w in ("RRLL", "LRRL", "RRRR") for d in product(range(2), repeat=5)]
+    + [("RRLL", (3, 3, 3, 3, 3)), ("RRRR", (2, 2, 2, 2, 2)), ("LRRL", (1, 2, 2, 1, 2))]
+)
+
+
+@pytest.mark.parametrize("word, dims", OPEN_LOCUS_CASES + selftest_oriented_cases())
+def test_open_locus_search_matches_the_post_filter(word, dims):
+    from qloci import open_locus_poset
+
+    ctx = bipartite_double(TypeAQuiver(word))
+    d = DimensionVector(dims)
+    got = open_locus_poset(ctx, d, 10**60)
+    want = post_filter_poset(ctx, d)
+    assert (got.quiver, got.dims) == (want.quiver, want.dims)
+    assert got.nodes == want.nodes
+    assert got.covers == want.covers
+
+
+def test_open_locus_guard_counts_only_the_restricted_search():
+    # RRRR 2^5: the double has 5,875 orbits, found in 48,299 search nodes;
+    # the 125 orbits of the open locus take 980 nodes and 15,625 pairs
+    from qloci import GuardExceededError, open_locus_poset
+
+    ctx = bipartite_double(TypeAQuiver("RRRR"))
+    d = DimensionVector.of(2, 2, 2, 2, 2)
+    assert len(open_locus_poset(ctx, d, guard=20_000).nodes) == 125
+    # 980 nodes pass the search, then the pairs exceed that guard
+    with pytest.raises(GuardExceededError, match="15625 pairs"):
+        open_locus_poset(ctx, d, guard=980)
+    with pytest.raises(GuardExceededError, match="visited more than 979"):
+        open_locus_poset(ctx, d, guard=979)

@@ -12,6 +12,7 @@ from qloci import (
     FieldMismatchError,
     GF2,
     GF3,
+    InputError,
     Interval,
     LaceArray,
     NotARankArrayError,
@@ -245,6 +246,86 @@ def test_validate_rank_array():
     assert validate_rank_array(rank1(0, 0, 0), d)
     with pytest.raises(NotARankArrayError):
         rank_to_lace(rank1(0, 0, 1), d)
+
+
+def test_rank_to_lace_error_messages_name_the_first_negative_multiplicity():
+    cases = [
+        (1, (0, 0, 0, 0, 0, 1), (1, 1, 1), "multiplicity of [a1] would be -1"),
+        (1, (0, 0, 0, 2, 1, 2), (1, 2, 2), "multiplicity of [a1] would be -1"),
+        (1, (0, 0, 0, 1, 2, 0), (2, 0, 0), "multiplicity of [a1,b1] would be -1"),
+        (1, (0, 0, 0, 2, 2, 0), (1, 0, 2), "vertex multiplicity at y0 would be -1"),
+        (1, (0, 0, 0, 2, 2, 0), (0, 2, 0), "vertex multiplicity at y0 would be -2"),
+        (1, (0, 0, 0, 1, 2, 1), (1, 0, 2), "vertex multiplicity at x1 would be -2"),
+    ]
+    for n, values, dims, message in cases:
+        with pytest.raises(NotARankArrayError) as info:
+            rank_to_lace(RankArray(n, values), DimensionVector(dims))
+        assert str(info.value) == message
+
+
+def weighted_rank_sum(s):
+    """lace_to_rank by the formula, one weights row per summand type."""
+    table = interval_table(s.n)
+    return tuple(
+        sum(m * table.weights[j][i] for j, m in enumerate(s.values)) for i in range(len(table))
+    )
+
+
+@pytest.mark.parametrize("scale", [1, 300, 70_000, 2**33, 2**70])
+def test_lace_rank_round_trip_with_wide_fields(scale):
+    # totals from under 256 up past 2**64: one- to sixteen-byte packed fields
+    rng = random.Random(scale)
+    for n in (0, 1, 2, 3):
+        table = interval_table(n)
+        for _ in range(20):
+            s = LaceArray(n, tuple(rng.randrange(scale + 1) for _ in range(len(table))))
+            r = lace_to_rank(s)
+            assert r.values == weighted_rank_sum(s)
+            assert rank_to_lace(r, s.dims()) == s
+
+
+@pytest.mark.parametrize("dims", [(1, 300, 1), (2, 260, 1, 2, 1)])
+def test_enumerate_orbits_with_two_byte_rank_fields(dims):
+    from qloci.poset import enumerate_orbits
+
+    d = DimensionVector(dims)
+    n = (len(dims) - 1) // 2
+    nodes = enumerate_orbits(BipartiteQuiver(n), d)
+    assert nodes
+    for node in nodes:
+        assert node.rank.values == weighted_rank_sum(node.lace)
+        assert rank_to_lace(node.rank, d) == node.lace
+
+
+@pytest.mark.parametrize("dims", [(1, 300, 1), (1, 70_000, 2)])
+def test_lace_search_packs_wide_rank_fields(dims):
+    # the packed rank arrays the search carries in two- and four-byte fields
+    # (the permutations of these dims are too large to enumerate orbits)
+    from qloci.poset import _lace_search, _rank_width
+    from qloci.quiver import unpack_fields
+
+    d = DimensionVector(dims)
+    table = interval_table((len(dims) - 1) // 2)
+    width = _rank_width(d)
+    assert 256**width > sum(dims) >= 256 ** (width // 2)
+    found = 0
+    for values, packed in _lace_search(table, d, 10**7, width):
+        s = LaceArray(table.n, values)
+        assert s.dims() == d
+        assert unpack_fields(packed, width, len(table)) == weighted_rank_sum(s)
+        found += 1
+    assert found > 0
+
+
+def test_lace_to_rank_refuses_negative_multiplicities():
+    with pytest.raises(InputError, match="negative"):
+        lace_to_rank(LaceArray(1, (1, 0, 0, -1, 0, 0)))
+
+
+def test_rank_array_refuses_an_oriented_representation():
+    v = zero_rep(TypeAQuiver("RR"), DimensionVector.of(1, 1, 1))
+    with pytest.raises(InputError, match="'RR'"):
+        rank_array(v)
 
 
 def test_indecomposable_examples():
