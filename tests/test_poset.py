@@ -212,16 +212,19 @@ def test_lace_search_matches_the_recursive_reference():
                     pass
 
 
-def test_enumerate_orbits_ranks_equal_lace_to_rank():
+def test_enumerate_orbits_ranks_follow_the_weight_formula():
+    # the rank array the search carries packed, against the unpacked sum
+    # of table.weights rows over the summands
     from itertools import product
 
-    from qloci.reps import LaceArray, lace_to_rank
-
     for n in range(3):
-        q = BipartiteQuiver(n)
+        q, table = BipartiteQuiver(n), interval_table(n)
         for dims in product(range(3), repeat=2 * n + 1):
             for node in enumerate_orbits(q, DimensionVector(dims)):
-                assert node.rank == lace_to_rank(node.lace)
+                assert node.rank.values == tuple(
+                    sum(m * row[i] for m, row in zip(node.lace.values, table.weights))
+                    for i in range(len(table))
+                )
 
 
 def test_lace_values_cover_every_dimension_split():
