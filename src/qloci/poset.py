@@ -70,18 +70,14 @@ def iter_lace_values(q: BipartiteQuiver, dims: DimensionVector, guard: int = DEF
     the count of visited nodes passes it.
     """
     check_dims(q, dims)
-    for values, _ in _lace_search(interval_table(q.n), dims, guard, _rank_width(dims)):
+    for values, _, _ in _lace_search(interval_table(q.n), dims, guard):
         yield values
 
 
-def _rank_width(dims: DimensionVector) -> int:
-    """Packed field width for rank arrays of dims: a rank is at most sum(dims)."""
-    return field_width(sum(dims.values))
-
-
-def _lace_search(table, dims: DimensionVector, guard: int, width: int, allowed: int = -1):
+def _lace_search(table, dims: DimensionVector, guard: int, allowed: int = -1):
     """Depth-first search over the multiplicity tuples with the given
-    per-vertex totals, yielding (tuple, packed rank array) pairs.
+    per-vertex totals, yielding (tuple, packed rank array, field width)
+    triples; `unpack_fields` reads the rank array back.
 
     Intervals are taken in order of (left endpoint, right endpoint), each
     multiplicity from its largest possible value down to 0; intervals whose
@@ -90,10 +86,12 @@ def _lace_search(table, dims: DimensionVector, guard: int, width: int, allowed: 
     the node is cut.  The search keeps its own stack: per depth the current
     multiplicity and the frontier (the first vertex that may still have
     capacity).  Alongside the tuple it carries the rank array packed by
-    ``table.packed("weights", width)``: setting interval j to m adds m times
-    packed row j, and each step of m down subtracts the row once.  Every
-    node visited counts against the guard.
+    ``table.packed("weights", width)``, with fields wide enough for
+    sum(dims), the largest a rank can be: setting interval j to m adds m
+    times packed row j, and each step of m down subtracts the row once.
+    Every node visited counts against the guard.
     """
+    width = field_width(sum(dims.values))
     rows = table.packed("weights", width)
     ivs = table.intervals
     order = sorted(
@@ -116,7 +114,7 @@ def _lace_search(table, dims: DimensionVector, guard: int, width: int, allowed: 
             raise GuardExceededError(f"lace search visited more than {guard} nodes")
         if k == depth:
             if not any(remaining[f:]):
-                yield tuple(values), packed
+                yield tuple(values), packed, width
         else:
             lo = los[k]
             while f < lo and not remaining[f]:
@@ -168,11 +166,10 @@ def enumerate_orbits(
     """
     spec = layout_for(q, dims).block_spec()
     table = interval_table(q.n)
-    width = _rank_width(dims)
     count = len(table)
     product = d_x(dims) * d_y(dims)
     nodes = []
-    for values, packed in _lace_search(table, dims, guard, width, allowed):
+    for values, packed, width in _lace_search(table, dims, guard, allowed):
         r = RankArray(q.n, unpack_fields(packed, width, count))
         b = block_rank_symbolic(r, dims)
         v = zelevinsky_permutation(b, spec)

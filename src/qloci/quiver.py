@@ -17,7 +17,6 @@ the codecs read only these, so they serve every orientation alike.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -337,15 +336,8 @@ def interval_table(n: int) -> IntervalTable:
 
 
 def field_width(bound: int) -> int:
-    """Bytes per packed field that holds every value in 0..bound: 1, 2, 4
-    or 8, or a multiple of 8 beyond that."""
-    size = (bound.bit_length() + 7) // 8
-    if size <= 8:
-        return 1 << max(size - 1, 0).bit_length()
-    return -(-size // 8) * 8
-
-
-_NATIVE_CAST = {2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+    """Bytes per packed field that holds every value in 0..bound."""
+    return max(1, (bound.bit_length() + 7) // 8)
 
 
 def unpack_fields(x: int, width: int, count: int) -> tuple[int, ...]:
@@ -353,9 +345,6 @@ def unpack_fields(x: int, width: int, count: int) -> tuple[int, ...]:
     raw = x.to_bytes(width * count, "little")
     if width == 1:
         return tuple(raw)
-    cast = _NATIVE_CAST.get(width)
-    if cast:
-        return tuple(memoryview(raw).cast(cast))
     return tuple(int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
 
 

@@ -18,7 +18,7 @@ interval matrix and is the reference the rank array is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
+from operator import add, sub
 
 from .errors import (
     FieldMismatchError,
@@ -228,15 +228,27 @@ class LaceArray:
     def dims(self) -> DimensionVector:
         """The dimension vector of any representation with these multiplicities."""
         table = interval_table(self.n)
+        if min(self.values) < 0:
+            raise InputError("lace array has a negative multiplicity")
         vc = table.vertex_count
-        out = self.values[:vc]  # the vertex intervals
-        for m, support in zip(self.values[vc:], table.supports):
-            out = tuple(d + m * x for d, x in zip(out, support))
-        return DimensionVector(out)
+        covered = _arrow_coverage(table, self.values[vc:])
+        return DimensionVector(tuple(map(add, self.values[:vc], covered)))
 
     def as_dict(self):
         table = interval_table(self.n)
         return dict(zip(table.intervals, self.values))
+
+
+def _arrow_coverage(table, arrow) -> tuple[int, ...]:
+    """Per vertex, the summed multiplicities ``arrow`` gives the arrow
+    intervals that hold it: one multiply-add per arrow interval over the
+    packed ``supports`` rows.  The multiplicities must be nonnegative."""
+    width = field_width(sum(arrow))
+    covered = 0
+    for m, row in zip(arrow, table.packed("supports", width)):
+        if m:
+            covered += m * row
+    return unpack_fields(covered, width, table.vertex_count)
 
 
 def rank_array(v: Representation) -> RankArray:
@@ -319,8 +331,8 @@ def rank_to_lace(r: RankArray, d: DimensionVector) -> LaceArray:
     evaluated with the zero-padded boundary convention: one pass over the
     lookup slots of ``table.shift_rows`` reads the rank values with a 0
     appended, so slot -1 reads 0.  Vertex multiplicities are then fixed by
-    the dimension vector, less the arrow summands over each vertex (one
-    multiply-add per arrow interval over the packed ``supports`` rows).  A
+    the dimension vector, less the arrow summands over each vertex
+    (`_arrow_coverage`, which `LaceArray.dims` also reads).  A
     negative multiplicity means the input was not a valid rank array and
     raises.
     """
@@ -335,12 +347,7 @@ def rank_to_lace(r: RankArray, d: DimensionVector) -> LaceArray:
     for k, m in enumerate(arrow):
         if m < 0:
             raise NotARankArrayError(f"multiplicity of {table.arrow_intervals[k]} would be {m}")
-    width = field_width(sum(arrow))
-    covered = 0
-    for m, row in zip(arrow, table.packed("supports", width)):
-        if m:
-            covered += m * row
-    vertex = tuple(map(sub, d.values, unpack_fields(covered, width, table.vertex_count)))
+    vertex = tuple(map(sub, d.values, _arrow_coverage(table, arrow)))
     for p, m in enumerate(vertex):
         if m < 0:
             raise NotARankArrayError(f"vertex multiplicity at {vertex_name(p)} would be {m}")

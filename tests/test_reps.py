@@ -273,7 +273,7 @@ def weighted_rank_sum(s):
 
 @pytest.mark.parametrize("scale", [1, 300, 70_000, 2**33, 2**70])
 def test_lace_rank_round_trip_with_wide_fields(scale):
-    # totals from under 256 up past 2**64: one- to sixteen-byte packed fields
+    # totals from under 256 up past 2**64: one- to ten-byte packed fields
     rng = random.Random(scale)
     for n in (0, 1, 2, 3):
         table = interval_table(n)
@@ -299,17 +299,16 @@ def test_enumerate_orbits_with_two_byte_rank_fields(dims):
 
 @pytest.mark.parametrize("dims", [(1, 300, 1), (1, 70_000, 2)])
 def test_lace_search_packs_wide_rank_fields(dims):
-    # the packed rank arrays the search carries in two- and four-byte fields
+    # the packed rank arrays the search carries in two- and three-byte fields
     # (the permutations of these dims are too large to enumerate orbits)
-    from qloci.poset import _lace_search, _rank_width
+    from qloci.poset import _lace_search
     from qloci.quiver import unpack_fields
 
     d = DimensionVector(dims)
     table = interval_table((len(dims) - 1) // 2)
-    width = _rank_width(d)
-    assert 256**width > sum(dims) >= 256 ** (width // 2)
     found = 0
-    for values, packed in _lace_search(table, d, 10**7, width):
+    for values, packed, width in _lace_search(table, d, 10**7):
+        assert 256**width > sum(dims) >= 256 ** (width - 1) >= 256
         s = LaceArray(table.n, values)
         assert s.dims() == d
         assert unpack_fields(packed, width, len(table)) == weighted_rank_sum(s)
@@ -320,6 +319,8 @@ def test_lace_search_packs_wide_rank_fields(dims):
 def test_lace_to_rank_refuses_negative_multiplicities():
     with pytest.raises(InputError, match="negative"):
         lace_to_rank(LaceArray(1, (1, 0, 0, -1, 0, 0)))
+    with pytest.raises(InputError, match="negative"):
+        LaceArray(1, (1, 0, 0, -1, 0, 0)).dims()
 
 
 def test_rank_array_refuses_an_oriented_representation():
