@@ -7,12 +7,13 @@ reduction of arbitrary orientations to the bipartite case, and a
 brute-force oracle for small instances.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     FieldMismatchError,
     GuardExceededError,
     InputError,
     InternalCheckError,
-    InvalidBlockRankError,
     NotARankArrayError,
     NotInOpenLocusError,
     QlociError,
@@ -44,20 +45,16 @@ from .reps import (
     rank_array,
     rank_to_lace,
     rep_from_lace,
-    validate_rank_array,
     zero_rep,
 )
 from .zelevinsky import (
     BlockLayout,
     BlockRankMatrix,
-    MinorSpec,
     ZelevinskyCellMatrix,
     block_rank_numeric,
     block_rank_symbolic,
     cell_matrix_from_star,
-    defining_minor_specs,
     layout_for,
-    recover_rank_array,
     snake_matrix,
     zelevinsky_map,
 )
@@ -97,10 +94,10 @@ from .oracle import (
     OrbitCensus,
     brute_orbit_partition,
     bruhat_via_covers,
-    enumerate_reps,
     gl_elements,
     orbit_partition,
     verify_rank_determines_orbit,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules stay package attributes, but only the names they define are exported
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiver": dict(metavar="F", help="path to a quiver JSON file"),
         "--rep": dict(metavar="F", help="path to a representation JSON file"),
         "--dims": dict(metavar="CSV", help="comma-separated dimension vector"),
-        "--p": dict(type=int, default=None, help="prime for Fp"),
+        "--p": dict(type=int, default=2, help="prime for Fp"),
         "--reduce": dict(action="store_true", help="lift non-bipartite input first"),
         "--seed": dict(type=int, default=0),
     }
@@ -294,7 +294,7 @@ def cmd_reduce(args) -> int:
 def cmd_oracle(args) -> int:
     q = serde.quiver_from_json(_load_json(_need(args, "quiver", "oracle")))
     dims = _parse_dims(_need(args, "dims", "oracle"))
-    p = args.p if args.p else 2
+    p = args.p
     checks = []
 
     if isinstance(q, BipartiteQuiver):

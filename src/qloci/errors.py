@@ -25,10 +25,6 @@ class NotARankArrayError(QlociError):
     """A candidate rank function produced a negative multiplicity."""
 
 
-class InvalidBlockRankError(QlociError):
-    """A block rank matrix violates a forced entry or is internally inconsistent."""
-
-
 class NotInOpenLocusError(QlociError):
     """A lifted representation has a singular map over an inserted arrow."""
 

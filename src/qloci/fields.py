@@ -16,17 +16,39 @@ from .errors import InputError
 DEFAULT_SAMPLING_PRIME = 32003
 
 
+# Miller-Rabin with these bases is exact for every p < 3.3 * 10**24, so for
+# every p a prime field accepts (below 2**64).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MAX_PRIME = 2**64
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def int_from_json(obj, what: str) -> int:
+    """``obj`` if it is a JSON integer; floats, bools and strings are refused."""
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise InputError(f"{what} must be an integer, got {obj!r}")
+    return obj
 
 
 class Field:
@@ -37,16 +59,10 @@ class Field:
     def normalize(self, value):
         raise NotImplementedError
 
-    def add(self, a, b):
-        raise NotImplementedError
-
     def sub(self, a, b):
         raise NotImplementedError
 
     def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
         raise NotImplementedError
 
     def inv(self, a):
@@ -88,17 +104,11 @@ class RationalField(Field):
             return Fraction(value)
         raise InputError(f"cannot coerce {value!r} into Q")
 
-    def add(self, a, b):
-        return a + b
-
     def sub(self, a, b):
         return a - b
 
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
@@ -119,13 +129,18 @@ class RationalField(Field):
     def scalar_from_json(self, obj):
         if isinstance(obj, bool) or not isinstance(obj, (int, str)):
             raise InputError(f"bad rational entry {obj!r}")
-        return self.normalize(obj)
+        try:
+            return self.normalize(obj)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad rational entry {obj!r}") from exc
 
 
 class PrimeField(Field):
     """The prime field with ``p`` elements; values are residues in [0, p)."""
 
     def __init__(self, p: int):
+        if p >= _MAX_PRIME:
+            raise InputError(f"{p} is too large: a prime field needs p < 2**64")
         if not _is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
@@ -142,17 +157,11 @@ class PrimeField(Field):
             return (value.numerator * pow(value.denominator, -1, self.p)) % self.p
         raise InputError(f"cannot coerce {value!r} into {self.tag}")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
     def sub(self, a, b):
         return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -171,7 +180,10 @@ class PrimeField(Field):
     def scalar_from_json(self, obj):
         if isinstance(obj, bool) or not isinstance(obj, (int, str)):
             raise InputError(f"bad {self.tag} entry {obj!r}")
-        return self.normalize(int(obj))
+        try:
+            return self.normalize(int(obj))
+        except ValueError as exc:
+            raise InputError(f"bad {self.tag} entry {obj!r}") from exc
 
 
 QQ = RationalField()
@@ -183,7 +195,7 @@ def field_from_tag(tag: str) -> Field:
     """Parse a field tag of the form ``"Q"`` or ``"Fp:<p>"``."""
     if tag == "Q":
         return QQ
-    if tag.startswith("Fp:"):
+    if isinstance(tag, str) and tag.startswith("Fp:"):
         try:
             p = int(tag[3:])
         except ValueError as exc:

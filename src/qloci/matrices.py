@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import FieldMismatchError, InputError, ShapeError, SingularMatrixError
-from .fields import Field, PrimeField, field_from_tag
+from .fields import Field, PrimeField, field_from_tag, int_from_json
 
 
 class ExactMatrix:
@@ -53,16 +53,8 @@ class ExactMatrix:
         data = [[o if i == j else z for j in range(size)] for i in range(size)]
         return cls(field, size, size, data)
 
-    def transpose(self) -> "ExactMatrix":
-        data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return ExactMatrix(self.field, self.cols, self.rows, data)
-
     def copy_data(self):
         return [list(r) for r in self.data]
-
-    def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(v == z for row in self.data for v in row)
 
     def __eq__(self, other):
         return (
@@ -166,16 +158,16 @@ class ExactMatrix:
     def from_json(cls, obj: dict) -> "ExactMatrix":
         try:
             field = field_from_tag(obj["field"])
-            rows = int(obj["rows"])
-            cols = int(obj["cols"])
+            rows = int_from_json(obj["rows"], "matrix 'rows'")
+            cols = int_from_json(obj["cols"], "matrix 'cols'")
             entries = obj["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"bad matrix object: {exc}") from exc
-        if rows < 0 or cols < 0 or len(entries) != rows:
+        if rows < 0 or cols < 0 or not isinstance(entries, list) or len(entries) != rows:
             raise InputError("matrix entry grid does not match declared shape")
         data = []
         for row in entries:
-            if len(row) != cols:
+            if not isinstance(row, list) or len(row) != cols:
                 raise InputError("matrix entry grid does not match declared shape")
             data.append([field.scalar_from_json(v) for v in row])
         return cls(field, rows, cols, data)

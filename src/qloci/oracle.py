@@ -33,9 +33,11 @@ def iter_reps(q, dims: DimensionVector, p: int, ceiling: int = DEFAULT_POINT_GUA
     lexicographic order of the concatenated entry lists."""
     field = PrimeField(p)
     total_entries = space_dimension(q, dims)
+    # p**e >= 2**e exceeds the ceiling once e reaches its bit length, so a
+    # huge power is never formed
+    if total_entries >= ceiling.bit_length() or p**total_entries > ceiling:
+        raise GuardExceededError(f"{p}^{total_entries} points exceed the ceiling {ceiling}")
     count = p**total_entries
-    if count > ceiling:
-        raise GuardExceededError(f"{count} points exceed the ceiling {ceiling}")
     shapes = [(dims[h], dims[t]) for h, t in q.arrows]
     for code in range(count):
         digits = []
@@ -51,10 +53,6 @@ def iter_reps(q, dims: DimensionVector, p: int, ceiling: int = DEFAULT_POINT_GUA
             pos += rows * cols
             mats.append(ExactMatrix(field, rows, cols, data))
         yield Representation(q, dims, tuple(mats))
-
-
-def enumerate_reps(q, dims: DimensionVector, p: int, ceiling: int = DEFAULT_POINT_GUARD):
-    return list(iter_reps(q, dims, p, ceiling))
 
 
 def gl_order(k: int, p: int) -> int:
@@ -174,6 +172,17 @@ def _mat_mul(a, b, p):
     )
 
 
+def _check_group_order(dims: DimensionVector, p: int, ceiling: int):
+    # |GL_k(F_p)| >= 2**(k*(k-1)), so a large k exceeds the ceiling unevaluated
+    if any(k * (k - 1) >= ceiling.bit_length() for k in dims):
+        raise GuardExceededError(f"the group order exceeds the ceiling {ceiling}")
+    group_size = 1
+    for k in dims:
+        group_size *= gl_order(k, p)
+    if group_size > ceiling:
+        raise GuardExceededError(f"group order {group_size} exceeds the ceiling {ceiling}")
+
+
 def brute_orbit_partition(
     points,
     q,
@@ -189,11 +198,7 @@ def brute_orbit_partition(
     """
     check_dims(q, dims)
     specs = q.arrows
-    group_size = 1
-    for k in dims:
-        group_size *= gl_order(k, p)
-    if group_size > ceiling:
-        raise GuardExceededError(f"group order {group_size} exceeds the ceiling {ceiling}")
+    _check_group_order(dims, p, ceiling)
 
     # per-vertex generator actions: (vertex, g, g_inverse) as raw tuples
     actions = []
@@ -239,7 +244,12 @@ def brute_orbit_partition(
 
 
 def orbit_partition(q, dims: DimensionVector, p: int, point_ceiling: int = DEFAULT_POINT_GUARD, group_ceiling: int = DEFAULT_GROUP_GUARD) -> OrbitCensus:
-    points = enumerate_reps(q, dims, p, point_ceiling)
+    # refuse a bad p, then check the group order before any point is built:
+    # one point with a huge zero-width matrix is costly however few there are
+    PrimeField(p)
+    check_dims(q, dims)
+    _check_group_order(dims, p, group_ceiling)
+    points = list(iter_reps(q, dims, p, point_ceiling))
     return brute_orbit_partition(points, q, dims, p, group_ceiling)
 
 

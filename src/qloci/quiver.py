@@ -63,10 +63,6 @@ class TypeAQuiver:
     def arrow_names(self) -> tuple[str, ...]:
         return tuple(f"g{i}" for i in range(1, self.arrow_count + 1))
 
-    def is_bipartite(self) -> bool:
-        o = self.orientation
-        return all(o[i] != o[i + 1] for i in range(len(o) - 1))
-
 
 @dataclass(frozen=True)
 class BipartiteQuiver:
@@ -121,31 +117,11 @@ def vertex_name(pos: int) -> str:
     return f"x{(pos + 1) // 2}"
 
 
-def vertex_pos(name: str) -> int:
-    m = re.fullmatch(r"([xy])(\d+)", name)
-    if not m:
-        raise InputError(f"bad vertex name {name!r}")
-    kind, k = m.group(1), int(m.group(2))
-    if kind == "y":
-        return 2 * k
-    if k < 1:
-        raise InputError(f"bad vertex name {name!r}")
-    return 2 * k - 1
-
-
 def edge_name(e: int) -> str:
     """Arrow label for edge position e: odd e -> a_(e+1)/2, even e -> b_e/2."""
     if e % 2:
         return f"a{(e + 1) // 2}"
     return f"b{e // 2}"
-
-
-def edge_pos(name: str) -> int:
-    m = re.fullmatch(r"([ab])(\d+)", name)
-    if not m:
-        raise InputError(f"bad arrow name {name!r}")
-    kind, k = m.group(1), int(m.group(2))
-    return 2 * k - 1 if kind == "a" else 2 * k
 
 
 @dataclass(frozen=True, order=True)
@@ -162,13 +138,6 @@ class Interval:
     @staticmethod
     def vertex(pos: int) -> "Interval":
         return Interval(pos, pos)
-
-    @staticmethod
-    def from_edges(first: int, last: int) -> "Interval":
-        """Interval spanning edges first..last inclusive."""
-        if first > last:
-            raise InputError("interval needs at least one edge")
-        return Interval(first - 1, last)
 
     @property
     def is_vertex(self) -> bool:

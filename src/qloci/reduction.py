@@ -23,7 +23,6 @@ from .errors import (
     NotInOpenLocusError,
     SingularMatrixError,
 )
-from .fields import QQ
 from .matrices import ExactMatrix
 from .poset import (
     DEFAULT_LACE_GUARD,
@@ -55,10 +54,6 @@ class ReductionContext:
     junction_kind: dict  # junction index i -> "sink" | "source"
     pad_left: bool
     pad_right: bool
-
-    @property
-    def inserted_count(self) -> int:
-        return len(self.delta_edges)
 
 
 def bipartite_double(q: TypeAQuiver) -> ReductionContext:
@@ -197,31 +192,6 @@ def project(ctx: ReductionContext, vt: Representation) -> Representation:
     if out.field != field and out.arrows:
         raise FieldMismatchError("projection changed fields")  # unreachable
     return out
-
-
-def lift_group(ctx: ReductionContext, g, delta_part=None):
-    """Extend a base-change tuple over the source to the doubled quiver.
-
-    ``delta_part`` optionally supplies elements at the doubling vertices
-    (default: copy the element of the doubled junction, which fixes the lift
-    of a representation setwise)."""
-    out = [None] * ctx.target.vertex_count
-    field = None
-    for i, pos in enumerate(ctx.vertex_map):
-        out[pos] = g[i]
-        if g[i].rows:
-            field = g[i].field
-    for i, pos in ctx.doubled_vertex.items():
-        if delta_part and i in delta_part:
-            out[pos] = delta_part[i]
-        else:
-            out[pos] = g[i]
-    if field is None:
-        field = QQ
-    for pos, m in enumerate(out):
-        if m is None:
-            out[pos] = ExactMatrix.identity(field, 0)
-    return tuple(out)
 
 
 def project_group(ctx: ReductionContext, gt):

@@ -354,15 +354,6 @@ def rank_to_lace(r: RankArray, d: DimensionVector) -> LaceArray:
     return LaceArray(r.n, vertex + tuple(arrow))
 
 
-def validate_rank_array(f: RankArray, d: DimensionVector) -> bool:
-    """True iff some representation with dimension vector d has rank array f."""
-    try:
-        s = rank_to_lace(f, d)
-    except NotARankArrayError:
-        return False
-    return lace_to_rank(s) == f
-
-
 def rep_from_lace(q: BipartiteQuiver, s: LaceArray, field: Field = QQ) -> Representation:
     """A concrete direct sum of indecomposables with the given multiplicities."""
     if s.n != q.n:

@@ -12,7 +12,7 @@ mean zero matrices, and a key the quiver lacks is refused.
 from __future__ import annotations
 
 from .errors import InputError
-from .fields import QQ
+from .fields import QQ, int_from_json
 from .matrices import ExactMatrix
 from .perms import Permutation
 from .quiver import (
@@ -21,10 +21,8 @@ from .quiver import (
     Interval,
     TypeAQuiver,
     edge_name,
-    edge_pos,
     interval_table,
     vertex_name,
-    vertex_pos,
 )
 from .reps import LaceArray, RankArray, Representation
 from .reduction import ReductionContext
@@ -44,10 +42,7 @@ def quiver_from_json(obj) -> BipartiteQuiver | TypeAQuiver:
     except (KeyError, TypeError) as exc:
         raise InputError("quiver object needs a 'type' key") from exc
     if kind == "bipartiteA":
-        try:
-            return BipartiteQuiver(int(obj["n"]))
-        except (KeyError, ValueError) as exc:
-            raise InputError("bipartiteA quiver needs an integer 'n'") from exc
+        return BipartiteQuiver(int_from_json(obj.get("n"), "bipartiteA quiver 'n'"))
     if kind == "A":
         try:
             return TypeAQuiver(str(obj["orientation"]))
@@ -61,31 +56,15 @@ def dims_to_json(d: DimensionVector) -> list:
 
 
 def dims_from_json(obj) -> DimensionVector:
-    try:
-        return DimensionVector(tuple(int(v) for v in obj))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad dimension vector: {exc}") from exc
+    if not isinstance(obj, list):
+        raise InputError(f"dimension vector must be a list, got {obj!r}")
+    return DimensionVector(tuple(int_from_json(v, "dimension") for v in obj))
 
 
 def interval_to_json(j: Interval) -> dict:
     if j.is_vertex:
         return {"vertex": vertex_name(j.lo)}
     return {"left": edge_name(j.left_edge), "right": edge_name(j.right_edge)}
-
-
-def interval_from_json(obj) -> Interval:
-    if not isinstance(obj, dict):
-        raise InputError(f"bad interval object {obj!r}")
-    if "vertex" in obj:
-        return Interval.vertex(vertex_pos(obj["vertex"]))
-    try:
-        left = edge_pos(obj["left"])
-        right = edge_pos(obj["right"])
-    except KeyError as exc:
-        raise InputError("interval object needs 'vertex' or 'left'/'right'") from exc
-    if left > right:
-        raise InputError("interval endpoints out of order")
-    return Interval.from_edges(left, right)
 
 
 def rep_from_json(obj) -> Representation:
@@ -97,6 +76,8 @@ def rep_from_json(obj) -> Representation:
         raise InputError(f"bad representation object: {exc}") from exc
     if not isinstance(arrows, dict):
         raise InputError("'arrows' must be an object keyed by arrow name")
+    if len(dims) != q.vertex_count:
+        raise InputError("dimension vector does not match the quiver")
     unknown = sorted(set(arrows) - set(q.arrow_names))
     if unknown:
         raise InputError(
@@ -108,8 +89,6 @@ def rep_from_json(obj) -> Representation:
     for m in mats.values():
         if m.field != field:
             raise InputError("arrow matrices declare different fields")
-    if len(dims) != q.vertex_count:
-        raise InputError("dimension vector does not match the quiver")
     out = []
     for key, (h, t) in zip(q.arrow_names, q.arrows):
         if key in mats:

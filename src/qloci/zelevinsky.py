@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError, InvalidBlockRankError, ShapeError
+from .errors import InputError, ShapeError
 from .matrices import ExactMatrix, assemble_blocks, prefix_block_ranks
 from .quiver import (
     BipartiteQuiver,
@@ -146,21 +146,6 @@ def snake_matrix(v: Representation) -> ExactMatrix:
     return assemble_interval_matrix(v, Interval(0, 2 * q.n))
 
 
-def zelevinsky_map(v: Representation) -> ZelevinskyCellMatrix:
-    """Embed a representation as [[snake, 1],[1, 0]]."""
-    lay = layout_for(v.quiver, v.dims)
-    field = v.field
-    snake = snake_matrix(v)
-    dy = d_y(v.dims)
-    dx = d_x(v.dims)
-    grid = [
-        [snake, ExactMatrix.identity(field, dy)],
-        [ExactMatrix.identity(field, dx), None],
-    ]
-    m = assemble_blocks(grid, [dy, dx], [dx, dy], field)
-    return ZelevinskyCellMatrix(m, lay)
-
-
 def cell_matrix_from_star(star: ExactMatrix, layout: BlockLayout) -> ZelevinskyCellMatrix:
     """Build the cell element with the given free block."""
     dy = d_y(layout.dims)
@@ -173,6 +158,12 @@ def cell_matrix_from_star(star: ExactMatrix, layout: BlockLayout) -> ZelevinskyC
         [ExactMatrix.identity(f, dx), None],
     ]
     return ZelevinskyCellMatrix(assemble_blocks(grid, [dy, dx], [dx, dy], f), layout)
+
+
+def zelevinsky_map(v: Representation) -> ZelevinskyCellMatrix:
+    """Embed a representation as [[snake, 1],[1, 0]]."""
+    lay = layout_for(v.quiver, v.dims)
+    return cell_matrix_from_star(snake_matrix(v), lay)
 
 
 @dataclass(frozen=True)
@@ -203,29 +194,8 @@ class BlockRankMatrix:
             - self.entry(i - 1, j)
         )
 
-    def is_monotone_staircase(self) -> bool:
-        k = 2 * self.n + 1
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                if self.entry(i, j) < self.entry(i - 1, j):
-                    return False
-                if self.entry(i, j) < self.entry(i, j - 1):
-                    return False
-                if self.block_count(i, j) < 0:
-                    return False
-        return True
-
     def to_json(self) -> dict:
         return {"n": self.n, "entries": [list(r) for r in self.entries]}
-
-    @classmethod
-    def from_json(cls, obj) -> "BlockRankMatrix":
-        try:
-            n = int(obj["n"])
-            entries = tuple(tuple(int(v) for v in row) for row in obj["entries"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad block rank matrix object: {exc}") from exc
-        return cls(n, entries)
 
 
 def block_rank_numeric(z: ZelevinskyCellMatrix) -> BlockRankMatrix:
@@ -306,102 +276,3 @@ def block_rank_symbolic(r: RankArray, dims: DimensionVector) -> BlockRankMatrix:
     return BlockRankMatrix(
         n, tuple([tuple([offset + vals[slot] for offset, slot in row]) for row in plan])
     )
-
-
-def recover_rank_array(b: BlockRankMatrix, dims: DimensionVector) -> RankArray:
-    """Invert the symbolic route: read each interval's rank off its block,
-    after checking every forced entry.  Left inverse of the symbolic map."""
-    n = b.n
-    if len(dims) != 2 * n + 1:
-        raise InputError("dimension vector does not match the block rank matrix")
-    table = interval_table(n)
-    vals: list[int | None] = [None] * len(table)
-    for p in range(table.vertex_count):
-        vals[p] = 0
-    for i, (plan_row, row) in enumerate(zip(_block_plan(n, dims), b.entries), start=1):
-        for j, ((offset, slot), got) in enumerate(zip(plan_row, row), start=1):
-            if slot < 0:
-                if got != offset:
-                    raise InvalidBlockRankError(
-                        f"forced entry at block ({i},{j}) should be {offset}, found {got}"
-                    )
-                continue
-            val = got - offset
-            if val < 0:
-                raise InvalidBlockRankError(
-                    f"entry at block ({i},{j}) is below its dimension offset"
-                )
-            if vals[slot] is None:
-                vals[slot] = val
-            elif vals[slot] != val:
-                raise InvalidBlockRankError(
-                    f"blocks disagree about the rank of {table.intervals[slot]}"
-                )
-    if any(v is None for v in vals):
-        raise InvalidBlockRankError("some interval was not determined")
-    return RankArray(n, tuple(vals))  # type: ignore[arg-type]
-
-
-@dataclass(frozen=True)
-class MinorSpec:
-    """One family of vanishing minors: all minors of the given size supported
-    on the listed rows and columns (1-based) of the named ambient matrix."""
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    size: int
-    source: str
-
-
-def defining_minor_specs(r: RankArray, dims: DimensionVector) -> list[MinorSpec]:
-    """Generator inventories for the two determinantal descriptions of an
-    orbit closure: per interval, minors of size 1 + rank in the interval's
-    staircase region of the snake matrix; per block, minors of size
-    1 + block rank in the northwest-justified region of the embedded matrix."""
-    n = r.n
-    if len(dims) != 2 * n + 1:
-        raise InputError("dimension vector does not match the rank array")
-    table = interval_table(n)
-    lay = BlockLayout(n, dims)
-    specs = []
-
-    # snake-matrix coordinates: rows are y_0..y_n top to bottom, columns
-    # x_n..x_1 left to right, both 1-based
-    yoff = {}
-    acc = 0
-    for i in range(n + 1):
-        yoff[2 * i] = acc
-        acc += dims[2 * i]
-    xoff = {}
-    acc = 0
-    for k in range(n, 0, -1):
-        xoff[2 * k - 1] = acc
-        acc += dims[2 * k - 1]
-    for j in table.intervals:
-        row_pos = [p for p in range(j.lo, j.hi + 1) if p % 2 == 0]
-        col_pos = [p for p in range(j.lo, j.hi + 1) if p % 2 == 1]
-        rows = []
-        for p in row_pos:
-            rows.extend(range(yoff[p] + 1, yoff[p] + dims[p] + 1))
-        cols = []
-        for p in col_pos:
-            cols.extend(range(xoff[p] + 1, xoff[p] + dims[p] + 1))
-        specs.append(
-            MinorSpec(tuple(sorted(rows)), tuple(sorted(cols)), 1 + r[j], f"interval {j}")
-        )
-
-    row_cuts = lay.row_cuts
-    col_cuts = lay.col_cuts
-    b = block_rank_symbolic(r, dims)
-    k = 2 * n + 1
-    for i in range(1, k + 1):
-        for jj in range(1, k + 1):
-            specs.append(
-                MinorSpec(
-                    tuple(range(1, row_cuts[i - 1] + 1)),
-                    tuple(range(1, col_cuts[jj - 1] + 1)),
-                    b.entry(i, jj) + 1,
-                    f"block ({i},{jj})",
-                )
-            )
-    return specs

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -331,12 +332,10 @@ def test_json_outputs_reparse(tmp_path, capsys):
     code, out, _ = run_main(capsys, ["zelevinsky", "--rep", rep, "--format", "json"])
     payload = json.loads(out)
     from qloci.matrices import ExactMatrix
-    from qloci.zelevinsky import BlockRankMatrix
 
     m = ExactMatrix.from_json(payload["matrix"])
     assert m.to_json() == payload["matrix"]
-    b = BlockRankMatrix.from_json(payload["block_ranks"])
-    assert b.to_json() == payload["block_ranks"]
+    assert payload["block_ranks"] == {"n": 1, "entries": [[1, 1, 1], [1, 1, 2], [1, 2, 3]]}
 
 
 def test_console_entry_point(tmp_path):
@@ -356,3 +355,208 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "[a1,b1]: 1" in proc.stdout
+
+
+def test_oracle_refuses_p_zero(tmp_path, capsys):
+    quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 1})
+    code, out, err = run_main(capsys, ["oracle", "--quiver", quiver, "--dims", "1,1,1", "--p", "0"])
+    assert code == 2 and out == ""
+    assert "0 is not prime" in err
+
+
+def matrix_json(entries, field="Q", rows=None, cols=None):
+    return {
+        "rows": len(entries) if rows is None else rows,
+        "cols": len(entries[0]) if cols is None else cols,
+        "field": field,
+        "entries": entries,
+    }
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("poset", {"type": "bipartiteA", "n": 1.7}),
+        ("poset", {"type": "bipartiteA", "n": True}),
+        ("decompose", {**rep_n1(1, 0), "dims": [1.5, 1, 1]}),
+        ("decompose", {**rep_n1(1, 0), "dims": [True, 1, 1]}),
+        ("decompose", {**rep_n1(1, 0), "arrows": {"a1": matrix_json([[1]], rows=1.0)}}),
+        ("decompose", {**rep_n1(1, 0), "arrows": {"a1": matrix_json([[1]], cols=True)}}),
+    ],
+)
+def test_json_integers_must_be_integers(tmp_path, capsys, command, payload):
+    path = write(tmp_path, "in.json", payload)
+    option = "--quiver" if command == "poset" else "--rep"
+    argv = [command, option, path] + (["--dims", "1,1,1"] if command == "poset" else [])
+    code, out, err = run_main(capsys, argv)
+    assert code == 2 and out == ""
+    assert "must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        matrix_json([["1/0"]]),
+        matrix_json([["abc"]]),
+        matrix_json([["x"]], field="Fp:3"),
+        matrix_json([["1/2"]], field="Fp:3"),
+        matrix_json(["12"], rows=1, cols=2),
+        matrix_json([[1]], field=5),
+    ],
+)
+def test_bad_matrix_entries_are_input_errors(tmp_path, capsys, matrix):
+    payload = rep_n1(1, 0)
+    payload["dims"] = [1, matrix["cols"], 1]
+    payload["arrows"] = {"a1": matrix}
+    code, out, err = run_main(capsys, ["decompose", "--rep", write(tmp_path, "rep.json", payload)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+FUZZ_QUIVERS = [
+    {"type": "bipartiteA", "n": 0},
+    {"type": "bipartiteA", "n": 1},
+    {"type": "bipartiteA", "n": 2},
+    {"type": "A", "orientation": ""},
+    {"type": "A", "orientation": "RR"},
+    {"type": "A", "orientation": "LRR"},
+]
+# values a mutation puts where the input wants something else
+FUZZ_VALUES = [1.5, True, False, None, "1", "abc", -1, [1], {}]
+
+
+def fuzz_rep(rng):
+    from qloci.serde import quiver_from_json
+
+    quiver = rng.choice(FUZZ_QUIVERS)
+    q = quiver_from_json(quiver)
+    dims = [rng.randint(0, 2) for _ in range(q.vertex_count)]
+    field = rng.choice(["Q", "Fp:2", "Fp:3", "Fp:32003"])
+    arrows = {
+        name: matrix_json(
+            [[rng.randint(-2, 2) for _ in range(dims[t])] for _ in range(dims[h])],
+            field, dims[h], dims[t],
+        )
+        for name, (h, t) in zip(q.arrow_names, q.arrows)
+    }
+    return {"quiver": dict(quiver), "dims": dims, "arrows": arrows}
+
+
+def mutate_rep(rep, rng, huge):
+    """Apply one mutation, chosen at random, to a valid representation object;
+    ``huge`` is the large dimension it may put in."""
+    matrices = list(rep["arrows"].values())
+    m = rng.choice(matrices) if matrices else None
+    kind = rng.randrange(12)
+    if kind == 0:
+        del rep[rng.choice(["quiver", "dims", "arrows"])]
+    elif kind == 1:
+        rep["quiver"].pop(rng.choice(["type", "n", "orientation"]), None)
+    elif kind == 2 and rep["dims"]:
+        rep["dims"][rng.randrange(len(rep["dims"]))] = rng.choice(FUZZ_VALUES + [huge])
+    elif kind == 3:
+        rep["dims"] = rng.choice(["111", 3, {"0": 1}, None])
+    elif kind == 4:
+        key = "n" if "n" in rep["quiver"] else "orientation"
+        rep["quiver"][key] = rng.choice(FUZZ_VALUES + ["RX"])
+    elif kind == 5:
+        rep["arrows"][rng.choice(["a9", "g9", "c1", "b0"])] = matrix_json([[1]])
+    elif kind == 6 and rep["arrows"]:
+        del rep["arrows"][rng.choice(sorted(rep["arrows"]))]
+    elif kind == 7 and m:
+        del m[rng.choice(["rows", "cols", "field", "entries"])]
+    elif kind == 8 and m:
+        m[rng.choice(["rows", "cols"])] = rng.choice(FUZZ_VALUES + [10**12])
+    elif kind == 9 and m:
+        m["field"] = rng.choice(["F", "Fp:4", "Fp:0", "Fp:-3", "Fp:x", 5, None, f"Fp:{10**30}"])
+    elif kind == 10 and m and m["entries"]:
+        row = rng.randrange(len(m["entries"]))
+        if m["entries"][row] and rng.random() < 0.7:
+            bad = ["1/0", "abc", "x", "1/2", "9" * 5000] + FUZZ_VALUES
+            m["entries"][row][0] = rng.choice(bad)
+        else:
+            m["entries"][row] = rng.choice(["12", {"0": 1}, 7])
+    elif kind == 11 and m:
+        m["entries"] = rng.choice(["ab", None, {}])
+    return rep
+
+
+def mutate_quiver(quiver, rng):
+    """Apply one mutation, or none, to a valid quiver object."""
+    quiver = dict(quiver)
+    kind = rng.randrange(5)
+    if kind == 0:
+        quiver.pop(rng.choice(["type", "n", "orientation"]), None)
+    elif kind == 1:
+        quiver["n" if "n" in quiver else "orientation"] = rng.choice(FUZZ_VALUES + ["RX"])
+    elif kind == 2:
+        quiver["type"] = rng.choice(["C", None, 3])
+    elif kind == 3:
+        return rng.choice([[], "x", 3, None])
+    return quiver
+
+
+def fuzz_argv(rng, tmp_path, case):
+    """One argv for a random command: mutated JSON and option values."""
+    command = rng.choice(["decompose", "zelevinsky", "poset", "reduce", "oracle"])
+    path = tmp_path / f"case{case}.json"
+    # poset and zelevinsky get no huge dimension: no guard bounds their d x d
+    # tables and matrices for a large total dimension d; and no quiver gets a
+    # huge n, since reduce builds its whole double (see CHANGES.md, FOUND)
+    huge = 40 if command in ("poset", "zelevinsky") else 10**12
+    if command in ("decompose", "zelevinsky"):
+        rep = fuzz_rep(rng)
+        obj = mutate_rep(rep, rng, huge) if rng.random() < 0.8 else rep
+        argv = [command, "--rep", str(path)]
+        if command == "zelevinsky" and rng.random() < 0.5:
+            argv.append("--reduce")
+    else:
+        quiver = rng.choice(FUZZ_QUIVERS)
+        obj = mutate_quiver(quiver, rng) if rng.random() < 0.25 else quiver
+        size = quiver.get("n", 0) * 2 + 1 if "n" in quiver else len(quiver["orientation"]) + 1
+        dims = [rng.randint(0, 2) for _ in range(size + rng.choice([0] * 8 + [-1, 1]))]
+        if dims and rng.random() < 0.2:
+            dims[rng.randrange(len(dims))] = rng.choice([-1, huge])
+        text = ",".join(map(str, dims))
+        if rng.random() < 0.05:
+            text = rng.choice(["a", "1.5", "", "1,,1"])
+        argv = [command, "--quiver", str(path)]
+        if command != "reduce" or rng.random() < 0.5:
+            argv += ["--dims", text]
+        if command == "oracle" and rng.random() < 0.7:
+            argv += ["--p", str(rng.choice([0, 1, -3, 4, 6, 561, 10**30] + [2, 3, 5] * 3))]
+        if command in ("poset", "oracle"):
+            argv += ["--guard", str(rng.choice([0, 1, -1, 5, 50, 500, 500, 2000]))]
+        if command == "poset" and rng.random() < 0.3:
+            argv += ["--seed", str(rng.randint(0, 9))]
+    formats = {"poset": ["json", "dot", "text"]}.get(command, ["json", "text"])
+    argv += ["--format", rng.choice(formats + ["xml"] if rng.random() < 0.05 else formats)]
+    roll = rng.random()
+    if roll < 0.03:
+        path.write_text("{not json")
+    elif roll < 0.06:
+        argv[2] = str(tmp_path / "missing.json")
+    else:
+        path.write_text(json.dumps(obj))
+    if rng.random() < 0.02:
+        argv.append("--bogus")
+    return argv
+
+
+def test_fuzzed_cli_inputs_keep_the_exit_code_contract(tmp_path, capsys):
+    # every run ends in 0 (success), 2 (input error) or 3 (guard), never a traceback
+    rng = random.Random(9301)
+    codes = []
+    for case in range(300):
+        argv = fuzz_argv(rng, tmp_path, case)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses bad options with exit 2
+            code = exc.code
+        except Exception as exc:
+            pytest.fail(f"{argv} on {(tmp_path / f'case{case}.json').read_text()[:300]}: {exc!r}")
+        capsys.readouterr()
+        assert code in (0, 2, 3), argv
+        codes.append(code)
+    # the mutations leave enough valid runs, and the guards trip
+    assert codes.count(0) >= 30 and codes.count(2) >= 30 and codes.count(3) >= 10

@@ -85,7 +85,7 @@ def test_multiply_empty_contraction():
     b = ExactMatrix.zeros(QQ, 0, 3)
     prod = a.multiply(b)
     assert (prod.rows, prod.cols) == (2, 3)
-    assert prod.is_zero()
+    assert prod == ExactMatrix.zeros(QQ, 2, 3)
 
 
 def test_multiply_example():
@@ -167,7 +167,8 @@ def random_matrix(draw, field=QQ, max_dim=5):
 
 @given(random_matrix())
 def test_rank_equals_transpose_rank(m):
-    assert m.rank() == m.transpose().rank()
+    transpose = [[m.data[i][j] for i in range(m.rows)] for j in range(m.cols)]
+    assert m.rank() == ExactMatrix(m.field, m.cols, m.rows, transpose).rank()
 
 
 @given(random_matrix(max_dim=6))
@@ -296,3 +297,27 @@ def test_prime_field_rejects_composite():
 
     with pytest.raises(InputError):
         PrimeField(6)
+
+
+def test_prime_test_is_exact_and_fast():
+    from time import perf_counter
+
+    from qloci import InputError
+    from qloci.fields import _is_prime
+
+    for p in (2, 3, 32003, 2**61 - 1):
+        assert PrimeField(p).p == p
+    # 561 is a Carmichael number; 2**64 + 13 is past the supported range
+    for p in (0, 1, 6, 561, 2**64 + 13):
+        with pytest.raises(InputError):
+            PrimeField(p)
+    # exact against trial division below 5000, and on a strong pseudoprime
+    # to the bases 2, 3, 5 and 7
+    for p in range(5000):
+        assert _is_prime(p) == (p > 1 and all(p % f for f in range(2, int(p**0.5) + 1)))
+    assert not _is_prime(3215031751)
+    # trial division would take 5 * 10**7 steps on 10**16 + 61 and 2**31 on the last
+    for p in (10**16 + 61, 10**14 + 31, 2**61 - 1, 2**64 - 59, (2**32 - 5) * (2**32 - 17)):
+        start = perf_counter()
+        assert _is_prime(p) == (p != (2**32 - 5) * (2**32 - 17))
+        assert perf_counter() - start < 0.05

@@ -7,35 +7,34 @@ from qloci import (
     Permutation,
     brute_orbit_partition,
     bruhat_via_covers,
-    enumerate_reps,
     gl_elements,
     orbit_partition,
     rank_array,
     verify_rank_determines_orbit,
 )
-from qloci.oracle import gl_order, space_dimension
+from qloci.oracle import gl_order, iter_reps, space_dimension
 from qloci.poset import iter_lace_values
 
 
 def test_enumerate_reps_counts():
     q = BipartiteQuiver(1)
     d = DimensionVector.of(1, 1, 1)
-    assert len(enumerate_reps(q, d, 2)) == 4
-    assert len(enumerate_reps(q, d, 3)) == 9
-    assert len(enumerate_reps(q, DimensionVector.of(0, 0, 0), 2)) == 1
+    assert len(list(iter_reps(q, d, 2))) == 4
+    assert len(list(iter_reps(q, d, 3))) == 9
+    assert len(list(iter_reps(q, DimensionVector.of(0, 0, 0), 2))) == 1
 
 
 def test_enumerate_reps_guard():
     q = BipartiteQuiver(1)
     with pytest.raises(GuardExceededError):
-        enumerate_reps(q, DimensionVector.of(2, 2, 2), 2, ceiling=10)
+        list(iter_reps(q, DimensionVector.of(2, 2, 2), 2, ceiling=10))
 
 
 def test_enumeration_is_deterministic():
     q = BipartiteQuiver(1)
     d = DimensionVector.of(1, 1, 1)
-    a = [rep.key() for rep in enumerate_reps(q, d, 3)]
-    b = [rep.key() for rep in enumerate_reps(q, d, 3)]
+    a = [rep.key() for rep in iter_reps(q, d, 3)]
+    b = [rep.key() for rep in iter_reps(q, d, 3)]
     assert a == b == sorted(a)
 
 
@@ -81,7 +80,7 @@ def test_gl_elements_count_mismatch_is_a_typed_error(monkeypatch):
 def test_group_guard():
     q = BipartiteQuiver(1)
     d = DimensionVector.of(2, 2, 2)
-    points = enumerate_reps(q, d, 3)
+    points = list(iter_reps(q, d, 3))
     with pytest.raises(GuardExceededError):
         brute_orbit_partition(points, q, d, 3, ceiling=100)
 

@@ -1,0 +1,33 @@
+"""Package-level checks: stdlib-only imports and a clean export list."""
+
+import ast
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import qloci
+
+SRC = Path(qloci.__file__).resolve().parent
+
+
+def test_package_imports_only_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"__future__"}
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {r}" for r in roots if r not in allowed]
+    assert outside == []
+
+
+def test_exports_resolve_and_hold_no_module():
+    assert qloci.__all__
+    for name in qloci.__all__:
+        assert not isinstance(getattr(qloci, name), ModuleType), name
+    # the submodules stay reachable as package attributes
+    assert isinstance(qloci.quiver, ModuleType) and isinstance(qloci.poset, ModuleType)

@@ -87,7 +87,7 @@ def test_dense_orbit_degenerate_dims():
     node = dense_orbit(q, DimensionVector.of(0, 0, 0))
     assert set(node.rank.values) == {0}
     node = dense_orbit(q, DimensionVector.of(1, 1, 0))
-    assert node.rank[Interval.from_edges(1, 1)] == 1
+    assert node.rank[Interval(0, 1)] == 1
 
 
 def test_dense_orbit_reuses_given_nodes():
