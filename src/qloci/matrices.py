@@ -85,27 +85,16 @@ class ExactMatrix:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
         z = f.zero()
+        bt = other.data
         out = []
-        if isinstance(f, PrimeField):
-            p = f.p
-            bt = other.data
-            for arow in self.data:
-                orow = []
-                for j in range(other.cols):
-                    acc = 0
-                    for k in range(self.cols):
-                        acc += arow[k] * bt[k][j]
-                    orow.append(acc % p)
-                out.append(orow)
-        else:
-            for arow in self.data:
-                orow = []
-                for j in range(other.cols):
-                    acc = z
-                    for k in range(self.cols):
-                        acc += arow[k] * other.data[k][j]
-                    orow.append(acc)
-                out.append(orow)
+        for arow in self.data:
+            orow = []
+            for j in range(other.cols):
+                acc = z
+                for k in range(self.cols):
+                    acc += arow[k] * bt[k][j]
+                orow.append(f.normalize(acc))
+            out.append(orow)
         return ExactMatrix(f, self.rows, other.cols, out)
 
     def inverse(self) -> "ExactMatrix":

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, ShapeError
-from .quiver import DimensionVector, d_x, d_y
+from .quiver import DimensionVector, d_x, d_y, pack_fields
 
 
 @dataclass(frozen=True)
@@ -80,49 +80,19 @@ def rank_table(p: Permutation):
     return r
 
 
-def pack_fields(rows) -> tuple[list[int], int]:
-    """Pack equal-length rows of non-negative ints into one integer each.
-
-    Every entry gets a field of width ``w = max.bit_length() + 1`` (max over
-    all rows, first entry most significant) whose top bit is a guard bit,
-    left clear.  Returns the packed integers and the mask G of guard bits.
-    For X, Y packed together, X >= Y entrywise iff
-    ``((X | G) - Y) & G == G``: a field of X | G holds 2**(w-1) + x, which
-    is at least 1 + y, so no borrow crosses a field and its guard bit
-    survives exactly when x >= y.
-    """
-    rows = list(rows)
-    length = len(rows[0]) if rows else 0
-    if any(len(row) != length for row in rows):
-        raise ShapeError("packed rows of different lengths")
-    width = max((max(row, default=0) for row in rows), default=0).bit_length() + 1
-    packed = []
-    for row in rows:
-        x = 0
-        for v in row:
-            x = x << width | v
-        packed.append(x)
-    return packed, int("1".ljust(width, "0") * length or "0", 2)
-
-
 def packed_rank_tables(perms) -> tuple[list[int], int]:
     """The rank tables (rows and columns 1..d) of equal-size permutations,
-    packed together by `pack_fields`: one integer per table, and the guard
-    mask."""
-    perms = list(perms)
-    if len({p.size for p in perms}) > 1:
-        raise ShapeError("Bruhat comparison of permutations of different sizes")
-    return pack_fields(
-        [x for row in rank_table(p)[1:] for x in row[1:]] for p in perms
-    )
+    packed together by `quiver.pack_fields` (which raises ShapeError for
+    sizes that differ): one integer per table, and the guard mask."""
+    return pack_fields([x for row in rank_table(p)[1:] for x in row[1:]] for p in perms)
 
 
 def bruhat_leq(u: Permutation, v: Permutation) -> bool:
     """Dominance criterion: u <= v iff every northwest rank count of u is at
     least the corresponding count of v.
 
-    Both full d x d rank tables are packed by `pack_fields`, so a single
-    guard-bit subtract compares all d**2 entries at once.
+    Both full d x d rank tables are packed by `quiver.pack_fields`, so a
+    single guard-bit subtract compares all d**2 entries at once.
     """
     (ru, rv), guard = packed_rank_tables((u, v))
     return ((ru | guard) - rv) & guard == guard

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 from .errors import GuardExceededError, InternalCheckError
 from .fields import PrimeField, DEFAULT_SAMPLING_PRIME
 from .matrices import ExactMatrix
-from .perms import (
-    Permutation,
-    inversion_length,
-    length_from_blocks,
-    pack_fields,
-    packed_rank_tables,
-    zelevinsky_permutation,
-)
+from .perms import Permutation, length_from_blocks, packed_rank_tables, zelevinsky_permutation
 from .quiver import (
     BipartiteQuiver,
     DimensionVector,
@@ -27,6 +20,7 @@ from .quiver import (
     d_y,
     field_width,
     interval_table,
+    pack_fields,
     unpack_fields,
 )
 from .reps import LaceArray, RankArray, Representation, rank_array
@@ -77,7 +71,8 @@ def iter_lace_values(q: BipartiteQuiver, dims: DimensionVector, guard: int = DEF
 def _lace_search(table, dims: DimensionVector, guard: int, allowed: int = -1):
     """Depth-first search over the multiplicity tuples with the given
     per-vertex totals, yielding (tuple, packed rank array, field width)
-    triples; `unpack_fields` reads the rank array back.
+    triples; the rank array is packed in the layout of `quiver.pack_fields`,
+    without guard bits.
 
     Intervals are taken in order of (left endpoint, right endpoint), each
     multiplicity from its largest possible value down to 0; intervals whose
@@ -172,14 +167,14 @@ def enumerate_orbits(
     for values, packed, width in _lace_search(table, dims, guard, allowed):
         r = RankArray(q.n, unpack_fields(packed, width, count))
         b = block_rank_symbolic(r, dims)
-        v = zelevinsky_permutation(b, spec)
+        length = length_from_blocks(b)
         nodes.append(
             OrbitNode(
                 rank=r,
                 lace=LaceArray(q.n, values),
-                permutation=v,
-                length=inversion_length(v),
-                dimension=product - length_from_blocks(b),
+                permutation=zelevinsky_permutation(b, spec),
+                length=length,
+                dimension=product - length,
             )
         )
     nodes.sort(key=lambda node: node.rank.values)
@@ -190,14 +185,14 @@ def hasse(q: BipartiteQuiver, dims: DimensionVector, nodes) -> DegenerationPoset
     """Covering relations of the componentwise order on rank arrays.
 
     Nodes are visited in lexicographic order of their rank arrays, a linear
-    extension of the order.  The rank arrays are packed by `pack_fields`, so
-    one guard-bit subtract decides r_a <= r_b, and each node b keeps the
-    bitmask down(b) of the earlier nodes a with r_a <= r_b.  The covers of b
-    are down(b) & ~(OR of down(c) over c in down(b)).  They are taken highest
-    first: the highest bit c still set is maximal in what is left, hence a
-    cover, and clearing c together with down(c) removes everything below
-    it, so each cover costs one mask update.  Covers are returned sorted by
-    (a, b).
+    extension of the order.  The rank arrays are packed by
+    `quiver.pack_fields`, so one guard-bit subtract decides r_a <= r_b, and
+    each node b keeps the bitmask down(b) of the earlier nodes a with
+    r_a <= r_b.  The covers of b are down(b) & ~(OR of down(c) over c in
+    down(b)).  They are taken highest first: the highest bit c still set is
+    maximal in what is left, hence a cover, and clearing c together with
+    down(c) removes everything below it, so each cover costs one mask
+    update.  Covers are returned sorted by (a, b).
     """
     nodes = tuple(nodes)
     order = sorted(range(len(nodes)), key=lambda i: nodes[i].rank.values)
@@ -222,12 +217,23 @@ def hasse(q: BipartiteQuiver, dims: DimensionVector, nodes) -> DegenerationPoset
 def build_poset(q: BipartiteQuiver, dims: DimensionVector, guard: int = DEFAULT_LACE_GUARD):
     """Enumerate the orbits and their covering relations.
 
-    The guard bounds the lace-search nodes visited and, before any pair is
-    compared, the N**2 node pairs of the Hasse diagram and the order check.
+    The guard bounds the d**2 cells of a rank table (`check_table_guard`),
+    the lace-search nodes visited and, before any pair is compared, the N**2
+    node pairs of the Hasse diagram and the order check.
     """
+    check_dims(q, dims)
+    check_table_guard(dims, guard)
     nodes = enumerate_orbits(q, dims, guard)
     check_pair_guard(nodes, guard)
     return hasse(q, dims, nodes)
+
+
+def check_table_guard(dims: DimensionVector, guard: int):
+    """Refuse, before any search, when the d x d rank tables of the poset's
+    permutations (d the total dimension; there is at least one) exceed the guard."""
+    d = sum(dims.values)
+    if d * d > guard:
+        raise GuardExceededError(f"dimension {d} gives {d * d} table cells, more than {guard}")
 
 
 def check_pair_guard(nodes, guard: int):
@@ -291,9 +297,10 @@ def order_equivalence_report(poset: DegenerationPoset) -> OrderReport:
     node pairs, listing every pair where the two orders disagree.
 
     Each node's rank array and the full d x d rank table of its permutation
-    are packed once (N rank tables, by `packed_rank_tables`); each side of a
-    pair is then one guard-bit subtract (see `pack_fields`).  v_b <= v_a in
-    Bruhat order iff the rank table of v_b dominates that of v_a.
+    are packed once by `quiver.pack_fields` (N rank tables, by
+    `packed_rank_tables`); each side of a pair is then one guard-bit
+    subtract.  v_b <= v_a in Bruhat order iff the rank table of v_b
+    dominates that of v_a.
     """
     nodes = poset.nodes
     ranks, rank_guard = pack_fields(node.rank.values for node in nodes)

@@ -12,6 +12,13 @@ Both quiver classes describe their arrows the same way: ``arrows`` holds the
 (head, tail) vertex indices of each arrow in storage order and
 ``arrow_names`` the matching JSON keys.  Representations, the oracle and
 the codecs read only these, so they serve every orientation alike.
+
+Packed rows have one layout: entry i of a row of non-negative ints is a
+field of ``width`` bytes at byte offset ``width * i`` (`pack_row`,
+`unpack_fields`).  `pack_fields` keeps each field's top bit, its guard bit,
+clear; with G the mask of guard bits, X >= Y entrywise iff
+``((X | G) - Y) & G == G``, since a field of X | G exceeds every y and
+keeps its guard bit exactly when x >= y.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import InputError
+from .errors import InputError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -263,8 +270,7 @@ class IntervalTable:
 
     def packed(self, rows: str, width: int) -> tuple[int, ...]:
         """Each row of ``weights`` or ``supports`` (named by ``rows``) packed
-        into one integer: entry i is a field of ``width`` bytes at byte
-        offset ``width * i`` (read back by `unpack_fields`).
+        into one integer by `pack_row`, with fields of ``width`` bytes.
 
         Adding m times packed row j of ``weights`` to a packed rank array
         adds the ranks of m copies of the indecomposable on interval j; no
@@ -274,10 +280,7 @@ class IntervalTable:
         key = (rows, width)
         out = self._packed.get(key)
         if out is None:
-            shift = 8 * width
-            out = tuple(
-                sum(x << shift * i for i, x in enumerate(row)) for row in getattr(self, rows)
-            )
+            out = tuple(pack_row(row, width) for row in getattr(self, rows))
             self._packed[key] = out
         return out
 
@@ -307,6 +310,24 @@ def interval_table(n: int) -> IntervalTable:
 def field_width(bound: int) -> int:
     """Bytes per packed field that holds every value in 0..bound."""
     return max(1, (bound.bit_length() + 7) // 8)
+
+
+def pack_row(row, width: int) -> int:
+    """The entries of ``row``, each below 256**width, packed lowest first."""
+    if width == 1:
+        return int.from_bytes(bytes(row), "little")
+    return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in row), "little")
+
+
+def pack_fields(rows) -> tuple[list[int], int]:
+    """Rows packed with fields of ``field_width(2 * max + 1)`` bytes, and the guard-bit mask."""
+    rows = list(rows)
+    length = len(rows[0]) if rows else 0
+    if any(len(row) != length for row in rows):
+        raise ShapeError("packed rows of different lengths")
+    width = field_width(2 * max((max(row, default=0) for row in rows), default=0) + 1)
+    guard = int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+    return [pack_row(row, width) for row in rows], guard
 
 
 def unpack_fields(x: int, width: int, count: int) -> tuple[int, ...]:

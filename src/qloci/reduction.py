@@ -28,6 +28,7 @@ from .poset import (
     DEFAULT_LACE_GUARD,
     DegenerationPoset,
     check_pair_guard,
+    check_table_guard,
     enumerate_orbits,
     hasse,
 )
@@ -221,10 +222,11 @@ def open_locus_poset(
     covers are the double's covers between them.  A lifted orbit is the
     source orbit times a GL(d_i) per junction, so each dimension drops by
     the sum of d_i**2.  Quiver, dims, rank and lace arrays stay those of the
-    double, whose intervals index the arrays.  The guard bounds the
-    restricted lace search and the kept nodes' pairs.
+    double, whose intervals index the arrays.  The guard bounds the lifted
+    rank tables, the restricted lace search and the kept nodes' pairs.
     """
     q, lifted = ctx.target, lift_dimension(ctx, dims)
+    check_table_guard(lifted, guard)
     edges = ctx.delta_edges.values()
     allowed = sum(
         1 << i

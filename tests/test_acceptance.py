@@ -165,6 +165,7 @@ def test_criterion_5_length_consistency():
             l_blocks = length_from_blocks(b)
             l_inv = inversion_length(node.permutation)
             assert l_blocks == l_inv
+            assert node.length == l_inv
             assert node.dimension == product_dim - l_inv
             assert node.dimension >= 0
     for n in (0, 1, 2):

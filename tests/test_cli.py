@@ -500,10 +500,11 @@ def fuzz_argv(rng, tmp_path, case):
     """One argv for a random command: mutated JSON and option values."""
     command = rng.choice(["decompose", "zelevinsky", "poset", "reduce", "oracle"])
     path = tmp_path / f"case{case}.json"
-    # poset and zelevinsky get no huge dimension: no guard bounds their d x d
-    # tables and matrices for a large total dimension d; and no quiver gets a
-    # huge n, since reduce builds its whole double (see CHANGES.md, FOUND)
-    huge = 40 if command in ("poset", "zelevinsky") else 10**12
+    # zelevinsky gets no huge dimension: no guard bounds its d x d matrices
+    # for a large total dimension d (poset refuses d**2 > --guard); and no
+    # quiver gets a huge n, since reduce builds its whole double (see
+    # CHANGES.md, FOUND)
+    huge = 40 if command == "zelevinsky" else 10**12
     if command in ("decompose", "zelevinsky"):
         rep = fuzz_rep(rng)
         obj = mutate_rep(rep, rng, huge) if rng.random() < 0.8 else rep

@@ -20,7 +20,8 @@ from qloci import (
 )
 from qloci.errors import InputError, ShapeError
 from qloci.oracle import bruhat_via_covers
-from qloci.perms import pack_fields, rank_table
+from qloci.perms import rank_table
+from qloci.quiver import pack_fields
 from qloci.poset import enumerate_orbits
 from qloci.zelevinsky import block_rank_symbolic
 
@@ -91,15 +92,15 @@ def dominance_leq(u, v):
 def test_pack_fields_dominance():
     rows = [(0, 3, 5), (5, 3, 0), (5, 5, 5), (0, 0, 0), (4, 3, 5)]
     packed, guard = pack_fields(rows)
-    # max 5 needs 3 bits, plus the guard bit: 4-bit fields, first entry on top
-    assert guard == 0b1000_1000_1000
-    assert packed[0] == 0b0000_0011_0101
+    # 2 * 5 + 1 fits one byte: 1-byte fields, lowest entry first
+    assert guard == 0x80_80_80
+    assert packed[0] == 0x05_03_00
     for x, xs in zip(packed, rows):
         for y, ys in zip(packed, rows):
             expected = all(a >= b for a, b in zip(xs, ys))
             assert (((x | guard) - y) & guard == guard) == expected
     assert pack_fields([]) == ([], 0)
-    assert pack_fields([(0, 0)]) == ([0], 0b11)
+    assert pack_fields([(0, 0)]) == ([0], 0x80_80)
     with pytest.raises(ShapeError):
         pack_fields([(1, 2), (1,)])
 

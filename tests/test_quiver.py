@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from qloci import (
     interval_meet,
     interval_table,
 )
-from qloci.quiver import edge_name, vertex_name
+from qloci.quiver import edge_name, field_width, pack_fields, unpack_fields, vertex_name
 from qloci.serde import interval_to_json
 
 
@@ -138,3 +140,25 @@ def test_dimension_vector():
     assert d[1] == 2 and len(d) == 3
     with pytest.raises(InputError):
         DimensionVector.of(1, -1)
+
+
+@pytest.mark.parametrize("top, width", [(127, 1), (128, 2), (32767, 2), (32768, 3)])
+def test_pack_fields_round_trip_across_the_guard_byte(top, width):
+    # 2 * top + 1 needs one byte more from top = 128 and from top = 32768 on
+    rows = [(top, 0, 1), (0, top, top - 1), (5, 5, top)]
+    packed, guard = pack_fields(rows)
+    assert field_width(2 * top + 1) == width
+    for i, row in enumerate(rows):
+        assert unpack_fields(packed[i], width, len(row)) == row
+    # the guard bits are the top bits of the fields, clear in every row
+    assert unpack_fields(guard, width, 3) == (1 << 8 * width - 1,) * 3
+    assert all(x & guard == 0 for x in packed)
+
+
+def test_pack_fields_takes_linear_time():
+    # as many entries as the rank table of a permutation of 600
+    row = [i % 601 for i in range(360_000)]
+    start = time.perf_counter()
+    packed, _ = pack_fields([row])
+    assert time.perf_counter() - start < 1.0
+    assert unpack_fields(packed[0], 2, len(row)) == tuple(row)
