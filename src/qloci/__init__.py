@@ -21,7 +21,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .fields import DEFAULT_SAMPLING_PRIME, Field, GF2, GF3, PrimeField, QQ, field_from_tag
-from .matrices import ExactMatrix, assemble_blocks
+from .matrices import ExactMatrix
 from .quiver import (
     BipartiteQuiver,
     DimensionVector,
@@ -59,7 +59,6 @@ from .zelevinsky import (
     zelevinsky_map,
 )
 from .perms import (
-    BlockSpec,
     Permutation,
     bruhat_leq,
     diagram,

@@ -59,12 +59,6 @@ class Field:
     def normalize(self, value):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
     def inv(self, a):
         raise NotImplementedError
 
@@ -103,12 +97,6 @@ class RationalField(Field):
         if isinstance(value, str):
             return Fraction(value)
         raise InputError(f"cannot coerce {value!r} into Q")
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
 
     def inv(self, a):
         if a == 0:
@@ -156,12 +144,6 @@ class PrimeField(Field):
                 raise InputError(f"denominator of {value} vanishes mod {self.p}")
             return (value.numerator * pow(value.denominator, -1, self.p)) % self.p
         raise InputError(f"cannot coerce {value!r} into {self.tag}")
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
 
     def inv(self, a):
         if a % self.p == 0:

@@ -1,6 +1,6 @@
 """Exact dense matrices over Q or a prime field.
 
-Supports products, inverses, block assembly and ranks.  Every rank comes
+Supports products, inverses and ranks.  Every rank comes
 from one pivot profile (`_pivot_profile`): the rows are inserted in order
 into an echelon basis, one inserter per field representation.  The profile
 gives the rank of the matrix and of each of its northwest-justified
@@ -117,13 +117,13 @@ class ExactMatrix:
             work[col], work[piv] = work[piv], work[col]
             aug[col], aug[piv] = aug[piv], aug[col]
             pinv = f.inv(work[col][col])
-            work[col] = [f.mul(pinv, v) for v in work[col]]
-            aug[col] = [f.mul(pinv, v) for v in aug[col]]
+            work[col] = [f.normalize(pinv * v) for v in work[col]]
+            aug[col] = [f.normalize(pinv * v) for v in aug[col]]
             for r in range(n):
                 if r != col and work[r][col] != z:
                     c = work[r][col]
-                    work[r] = [f.sub(a, f.mul(c, b)) for a, b in zip(work[r], work[col])]
-                    aug[r] = [f.sub(a, f.mul(c, b)) for a, b in zip(aug[r], aug[col])]
+                    work[r] = [f.normalize(a - c * b) for a, b in zip(work[r], work[col])]
+                    aug[r] = [f.normalize(a - c * b) for a, b in zip(aug[r], aug[col])]
         return ExactMatrix(f, n, n, aug)
 
     # -- rank ---------------------------------------------------------------
@@ -160,55 +160,6 @@ class ExactMatrix:
                 raise InputError("matrix entry grid does not match declared shape")
             data.append([field.scalar_from_json(v) for v in row])
         return cls(field, rows, cols, data)
-
-
-def assemble_blocks(layout, row_sizes, col_sizes, field: Field | None = None) -> ExactMatrix:
-    """Assemble a block matrix from a grid of optional blocks.
-
-    ``layout`` is a sequence of block rows, each a sequence of blocks where
-    ``None`` stands for a zero block of the slot's size.  Present blocks must
-    match their (row_size, col_size) slot exactly and share one field.
-    """
-    row_sizes = list(row_sizes)
-    col_sizes = list(col_sizes)
-    grid = [list(r) for r in layout]
-    if len(grid) != len(row_sizes):
-        raise ShapeError("block grid height does not match row sizes")
-    for r in grid:
-        if len(r) != len(col_sizes):
-            raise ShapeError("block grid width does not match column sizes")
-    for bi, brow in enumerate(grid):
-        for bj, blk in enumerate(brow):
-            if blk is None:
-                continue
-            if (blk.rows, blk.cols) != (row_sizes[bi], col_sizes[bj]):
-                raise ShapeError(
-                    f"block ({bi},{bj}) is {blk.rows}x{blk.cols}, "
-                    f"slot wants {row_sizes[bi]}x{col_sizes[bj]}"
-                )
-            if field is None:
-                field = blk.field
-            elif blk.field != field:
-                raise FieldMismatchError("blocks over mismatched fields")
-    if field is None:
-        raise InputError("cannot infer field for an all-zero block assembly")
-    z = field.zero()
-    total_rows = sum(row_sizes)
-    total_cols = sum(col_sizes)
-    data = [[z] * total_cols for _ in range(total_rows)]
-    roff = 0
-    for bi, brow in enumerate(grid):
-        coff = 0
-        for bj, blk in enumerate(brow):
-            if blk is not None:
-                for i in range(blk.rows):
-                    drow = data[roff + i]
-                    srow = blk.data[i]
-                    for j in range(blk.cols):
-                        drow[coff + j] = srow[j]
-            coff += col_sizes[bj]
-        roff += row_sizes[bi]
-    return ExactMatrix(field, total_rows, total_cols, data)
 
 
 def prefix_block_ranks(m: ExactMatrix, row_cuts, col_cuts):

@@ -17,6 +17,7 @@ from .matrices import ExactMatrix
 from .perms import Permutation, inversion_length
 from .quiver import BipartiteQuiver, DimensionVector, check_dims
 from .reps import Representation, rank_array
+from .serde import rank_array_to_json
 
 DEFAULT_POINT_GUARD = 2**20
 DEFAULT_GROUP_GUARD = 2**20
@@ -140,8 +141,6 @@ class OrbitCensus:
 
     def to_json(self, invariant) -> dict:
         """Each orbit's size and the rank array ``invariant`` gives its first point."""
-        from .serde import rank_array_to_json
-
         out = [
             {"size": len(orbit), "rank_array": rank_array_to_json(invariant(self.points[orbit[0]]))}
             for orbit in self.orbits

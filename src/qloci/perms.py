@@ -1,10 +1,14 @@
 """Permutation combinatorics: lengths, diagrams, essential sets, Bruhat
 order, and the block-structured permutation attached to a block rank matrix.
+
+The block permutation functions take plain row and column block sizes;
+`zelevinsky.BlockLayout` owns the block order and sizes of the cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InputError, ShapeError
 from .quiver import DimensionVector, d_x, d_y, pack_fields
@@ -106,75 +110,31 @@ def w_of(dims: DimensionVector) -> Permutation:
     return Permutation(word)
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """Row and column block sizes partitioning 1..d."""
-
-    row_sizes: tuple[int, ...]
-    col_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.row_sizes) != sum(self.col_sizes):
-            raise ShapeError("row and column blocks partition different totals")
-
-    @property
-    def total(self) -> int:
-        return sum(self.row_sizes)
-
-    @property
-    def row_starts(self) -> tuple[int, ...]:
-        out, acc = [], 1
-        for s in self.row_sizes:
-            out.append(acc)
-            acc += s
-        return tuple(out)
-
-    @property
-    def col_starts(self) -> tuple[int, ...]:
-        out, acc = [], 1
-        for s in self.col_sizes:
-            out.append(acc)
-            acc += s
-        return tuple(out)
-
-    def row_block_of(self, i: int) -> int:
-        acc = 0
-        for bi, s in enumerate(self.row_sizes, start=1):
-            acc += s
-            if i <= acc:
-                return bi
-        raise InputError(f"row {i} outside the blocks")
-
-    def col_block_of(self, j: int) -> int:
-        acc = 0
-        for bj, s in enumerate(self.col_sizes, start=1):
-            acc += s
-            if j <= acc:
-                return bj
-        raise InputError(f"column {j} outside the blocks")
-
-
-def zelevinsky_permutation(b, blocks: BlockSpec) -> Permutation:
+def zelevinsky_permutation(b, row_sizes, col_sizes) -> Permutation:
     """The unique permutation whose block (i, j) holds the second difference
     of the block rank matrix, with 1s running northwest to southeast along
     every block row and down every block column.
 
-    Sweeping blocks in reading order and greedily assigning the lowest
-    unused row of the block row and lowest unused column of the block
-    column realizes that arrangement.  Second differences come from the
-    current and the previous row of block ranks (zero above and left).
+    ``row_sizes`` and ``col_sizes`` are the block sizes in the order of
+    `zelevinsky.BlockLayout`.  Sweeping blocks in reading order and greedily
+    assigning the lowest unused row of the block row and lowest unused
+    column of the block column realizes that arrangement.  Second
+    differences come from the current and the previous row of block ranks
+    (zero above and left).
     """
-    nb = len(blocks.row_sizes)
-    if len(blocks.col_sizes) != nb or nb != 2 * b.n + 1:
+    nb = len(row_sizes)
+    if len(col_sizes) != nb or nb != 2 * b.n + 1:
         raise ShapeError("block spec does not match the block rank matrix")
-    word = [0] * blocks.total
-    next_col = list(blocks.col_starts)  # next free column per block column
-    col_ends = [start + size for start, size in zip(next_col, blocks.col_sizes)]
+    total = sum(row_sizes)
+    if sum(col_sizes) != total:
+        raise ShapeError("row and column blocks partition different totals")
+    word = [0] * total
+    bounds = list(accumulate(col_sizes, initial=1))
+    next_col, col_ends = bounds[:-1], bounds[1:]  # next free column per block column
     prev = (0,) * nb
-    for bi, (cur, row, size) in enumerate(
-        zip(b.entries, blocks.row_starts, blocks.row_sizes), start=1
-    ):
-        row_end = row + size
+    row_end = 1
+    for bi, (cur, size) in enumerate(zip(b.entries, row_sizes), start=1):
+        row, row_end = row_end, row_end + size
         left = up_left = 0
         for bj, (here, up) in enumerate(zip(cur, prev)):
             count = here + up_left - left - up
@@ -217,25 +177,25 @@ def length_from_blocks(b) -> int:
     return total
 
 
-def is_block_minimal(p: Permutation, blocks: BlockSpec) -> bool:
+def is_block_minimal(p: Permutation, row_sizes, col_sizes) -> bool:
     """True when the 1s run northwest to southeast within every block row
-    and every block column."""
-    if blocks.total != p.size:
+    and every block column (block sizes as for `zelevinsky_permutation`)."""
+    total = sum(row_sizes)
+    if sum(col_sizes) != total:
+        raise ShapeError("row and column blocks partition different totals")
+    if total != p.size:
         raise ShapeError("block spec does not match the permutation size")
-    d = p.size
-    last_col_in_row_block: dict[int, int] = {}
-    for i in range(1, d + 1):
-        bi = blocks.row_block_of(i)
-        c = p(i)
-        if bi in last_col_in_row_block and c < last_col_in_row_block[bi]:
+    return _rises_within_blocks(p.word, row_sizes) and _rises_within_blocks(
+        p.inverse().word, col_sizes
+    )
+
+
+def _rises_within_blocks(word, sizes) -> bool:
+    """True when ``word`` increases along each consecutive run of the given sizes."""
+    start = 0
+    for size in sizes:
+        run = word[start : start + size]
+        if any(a > b for a, b in zip(run, run[1:])):
             return False
-        last_col_in_row_block[bi] = c
-    inv = p.inverse()
-    last_row_in_col_block: dict[int, int] = {}
-    for j in range(1, d + 1):
-        bj = blocks.col_block_of(j)
-        r = inv(j)
-        if bj in last_row_in_col_block and r < last_row_in_col_block[bj]:
-            return False
-        last_row_in_col_block[bj] = r
+        start += size
     return True

@@ -159,7 +159,8 @@ def enumerate_orbits(
     whose summands all lie on allowed intervals are enumerated, and the
     guard counts only the nodes of that narrower search.
     """
-    spec = layout_for(q, dims).block_spec()
+    layout = layout_for(q, dims)
+    row_sizes, col_sizes = layout.row_sizes, layout.col_sizes
     table = interval_table(q.n)
     count = len(table)
     product = d_x(dims) * d_y(dims)
@@ -172,7 +173,7 @@ def enumerate_orbits(
             OrbitNode(
                 rank=r,
                 lace=LaceArray(q.n, values),
-                permutation=zelevinsky_permutation(b, spec),
+                permutation=zelevinsky_permutation(b, row_sizes, col_sizes),
                 length=length,
                 dimension=product - length,
             )
@@ -229,8 +230,9 @@ def build_poset(q: BipartiteQuiver, dims: DimensionVector, guard: int = DEFAULT_
 
 
 def check_table_guard(dims: DimensionVector, guard: int):
-    """Refuse, before any search, when the d x d rank tables of the poset's
-    permutations (d the total dimension; there is at least one) exceed the guard."""
+    """Refuse, before any search or matrix, when a d x d table (d the total
+    dimension) exceeds the guard: the rank tables of the poset's
+    permutations (there is at least one), or the cell of `qloci zelevinsky`."""
     d = sum(dims.values)
     if d * d > guard:
         raise GuardExceededError(f"dimension {d} gives {d * d} table cells, more than {guard}")

@@ -203,9 +203,6 @@ class RankArray:
     def __getitem__(self, j: Interval) -> int:
         return self.values[interval_table(self.n).index[j]]
 
-    def leq(self, other: "RankArray") -> bool:
-        return all(a <= b for a, b in zip(self.values, other.values))
-
     def as_dict(self):
         table = interval_table(self.n)
         return dict(zip(table.intervals, self.values))

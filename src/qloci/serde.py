@@ -6,15 +6,19 @@ z_0..z_n for oriented ones).  Intervals are {"vertex": "y0"} or
 {"left": "a1", "right": "b3"}.  Representations have one format for both
 quiver kinds: their quiver, dims, and an arrow table keyed by the quiver's
 ``arrow_names`` ("a1"/"b1"... bipartite, "g1"... oriented); missing keys
-mean zero matrices, and a key the quiver lacks is refused.
+mean zero matrices, and a key the quiver lacks is refused.  Before any
+matrix is built, a representation is refused (GuardExceededError) when it
+needs more than ``poset.DEFAULT_LACE_GUARD`` matrix cells and rows: the sum
+of d(head) * d(tail) over the arrows, plus the total dimension d.
 """
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import GuardExceededError, InputError
 from .fields import QQ, int_from_json
 from .matrices import ExactMatrix
 from .perms import Permutation
+from .poset import DEFAULT_LACE_GUARD
 from .quiver import (
     BipartiteQuiver,
     DimensionVector,
@@ -83,6 +87,11 @@ def rep_from_json(obj) -> Representation:
         raise InputError(
             f"unknown arrow keys {', '.join(map(repr, unknown))} for this quiver; "
             f"its arrows are {', '.join(q.arrow_names) or 'none'}"
+        )
+    size = sum(dims[h] * dims[t] for h, t in q.arrows) + sum(dims.values)
+    if size > DEFAULT_LACE_GUARD:
+        raise GuardExceededError(
+            f"the representation needs {size} matrix cells and rows, more than {DEFAULT_LACE_GUARD}"
         )
     mats = {key: ExactMatrix.from_json(mobj) for key, mobj in arrows.items()}
     field = next(iter(mats.values())).field if mats else QQ

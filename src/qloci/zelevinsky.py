@@ -6,6 +6,10 @@ northwest-justified block submatrices form the block rank matrix, computable
 two ways: numerically from the embedded matrix, or symbolically from the
 rank array alone.  The two routes agree on every representation; the
 symbolic one is the production path and the numeric one the validator.
+
+`BlockLayout` owns the block order and sizes of the cell; everything else
+(the block permutation in `perms`, the text rendering in `cli`) takes them
+from it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError, ShapeError
-from .matrices import ExactMatrix, assemble_blocks, prefix_block_ranks
+from .matrices import ExactMatrix, prefix_block_ranks
 from .quiver import (
     BipartiteQuiver,
     DimensionVector,
@@ -35,7 +39,8 @@ class BlockLayout:
     Block rows carry the sinks y_0..y_n then the sources x_n..x_1; block
     columns carry x_n..x_1 then y_0..y_n.  Numeric block indices 1..2n+1
     refer to this order; translation to vertex labels happens here and only
-    here.
+    here.  The sizes and cuts are those of the one cell
+    [[snake, 1_dy], [1_dx, 0]] that `cell_matrix_from_star` writes.
     """
 
     n: int
@@ -81,21 +86,12 @@ class BlockLayout:
             out.append(acc)
         return tuple(out)
 
-    @property
-    def total(self) -> int:
-        return d_x(self.dims) + d_y(self.dims)
-
     def row_vertex(self, i: int) -> str:
         """Vertex label of numeric block row i (1-based)."""
         return vertex_name(self.row_positions[i - 1])
 
     def col_vertex(self, j: int) -> str:
         return vertex_name(self.col_positions[j - 1])
-
-    def block_spec(self):
-        from .perms import BlockSpec
-
-        return BlockSpec(self.row_sizes, self.col_sizes)
 
 
 def layout_for(q: BipartiteQuiver, dims: DimensionVector) -> BlockLayout:
@@ -147,17 +143,16 @@ def snake_matrix(v: Representation) -> ExactMatrix:
 
 
 def cell_matrix_from_star(star: ExactMatrix, layout: BlockLayout) -> ZelevinskyCellMatrix:
-    """Build the cell element with the given free block."""
+    """Build the cell element [[star, 1_dy], [1_dx, 0]] row by row."""
     dy = d_y(layout.dims)
     dx = d_x(layout.dims)
     if (star.rows, star.cols) != (dy, dx):
         raise ShapeError(f"free block must be {dy}x{dx}")
     f = star.field
-    grid = [
-        [star, ExactMatrix.identity(f, dy)],
-        [ExactMatrix.identity(f, dx), None],
-    ]
-    return ZelevinskyCellMatrix(assemble_blocks(grid, [dy, dx], [dx, dy], f), layout)
+    z, o = f.zero(), f.one()
+    data = [row + [o if j == i else z for j in range(dy)] for i, row in enumerate(star.data)]
+    data += [[o if j == i else z for j in range(dx)] + [z] * dy for i in range(dx)]
+    return ZelevinskyCellMatrix(ExactMatrix(f, dy + dx, dy + dx, data), layout)
 
 
 def zelevinsky_map(v: Representation) -> ZelevinskyCellMatrix:

@@ -98,7 +98,8 @@ def test_criterion_1_paper_example_reproduction():
     v = Representation(q, d, tuple(mats))
     b = block_rank_numeric(zelevinsky_map(v))
     assert b.entries == PAPER_EXAMPLE_BLOCK_RANKS
-    perm = zelevinsky_permutation(b, layout_for(q, d).block_spec())
+    lay = layout_for(q, d)
+    perm = zelevinsky_permutation(b, lay.row_sizes, lay.col_sizes)
     assert perm.word == PAPER_EXAMPLE_PERMUTATION
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -178,10 +179,9 @@ def test_criterion_5_length_consistency():
 def test_criterion_6_block_minimality_and_essential_corners():
     for q, d in criterion2_cases():
         lay = layout_for(q, d)
-        spec = lay.block_spec()
         row_cuts, col_cuts = set(lay.row_cuts), set(lay.col_cuts)
         for node in enumerate_orbits(q, d):
-            assert is_block_minimal(node.permutation, spec)
+            assert is_block_minimal(node.permutation, lay.row_sizes, lay.col_sizes)
             for (i, j) in essential_set(node.permutation):
                 assert i in row_cuts and j in col_cuts
     _passed(6, "permutations block-minimal with essential boxes in block corners")

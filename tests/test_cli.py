@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -277,6 +278,46 @@ def test_reduce_bad_orientation_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["decompose", "zelevinsky"])
+@pytest.mark.parametrize("n, dims", [(0, [10**12]), (1, [10**12, 0, 0])])
+def test_huge_representations_exit_3_before_any_matrix(tmp_path, capsys, command, n, dims):
+    # these representations need 10**12 rows, more than the
+    # poset.DEFAULT_LACE_GUARD matrix cells and rows allowed: the refusal
+    # comes before any zero row is built
+    rep = write(tmp_path, "rep.json", {"quiver": {"type": "bipartiteA", "n": n}, "dims": dims})
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, [command, "--rep", rep])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert f"needs {10**12} matrix cells and rows" in err
+
+
+def test_zelevinsky_bounds_its_cell(tmp_path, capsys):
+    # n = 0, d = 3163: 3,163 rows pass the representation bound, but the
+    # d x d cell would hold 10,004,569 > 10**7 cells (decompose builds none)
+    rep = write(tmp_path, "rep.json", {"quiver": {"type": "bipartiteA", "n": 0}, "dims": [3163]})
+    code, _, err = run_main(capsys, ["zelevinsky", "--rep", rep])
+    assert code == 3 and "10004569 table cells" in err
+    assert run_main(capsys, ["decompose", "--rep", rep])[0] == 0
+    # RR (1, 2000, 1): d = 2002, but the lift (0, 1, 2000, 2000, 1) has d = 4002
+    rr = {"quiver": {"type": "A", "orientation": "RR"}, "dims": [1, 2000, 1]}
+    rep = write(tmp_path, "rr.json", rr)
+    code, _, err = run_main(capsys, ["zelevinsky", "--rep", rep, "--reduce"])
+    assert code == 3 and "dimension 4002" in err
+
+
+def test_reduce_bounds_bipartite_n(tmp_path, capsys, monkeypatch):
+    quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 10**9})
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, ["reduce", "--quiver", quiver])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and "is more than" in err
+    monkeypatch.setattr("qloci.cli.MAX_REDUCE_N", 3)
+    for n, expected in ((3, 0), (4, 3)):
+        quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": n})
+        assert run_main(capsys, ["reduce", "--quiver", quiver])[0] == expected
+
+
 def test_oracle_pass(tmp_path, capsys):
     quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 1})
     for p in (2, 3):
@@ -488,7 +529,7 @@ def mutate_quiver(quiver, rng):
     if kind == 0:
         quiver.pop(rng.choice(["type", "n", "orientation"]), None)
     elif kind == 1:
-        quiver["n" if "n" in quiver else "orientation"] = rng.choice(FUZZ_VALUES + ["RX"])
+        quiver["n" if "n" in quiver else "orientation"] = rng.choice(FUZZ_VALUES + ["RX", 10**12])
     elif kind == 2:
         quiver["type"] = rng.choice(["C", None, 3])
     elif kind == 3:
@@ -500,11 +541,9 @@ def fuzz_argv(rng, tmp_path, case):
     """One argv for a random command: mutated JSON and option values."""
     command = rng.choice(["decompose", "zelevinsky", "poset", "reduce", "oracle"])
     path = tmp_path / f"case{case}.json"
-    # zelevinsky gets no huge dimension: no guard bounds its d x d matrices
-    # for a large total dimension d (poset refuses d**2 > --guard); and no
-    # quiver gets a huge n, since reduce builds its whole double (see
-    # CHANGES.md, FOUND)
-    huge = 40 if command == "zelevinsky" else 10**12
+    # every command may get the huge dimension 10**12, and mutate_quiver a
+    # huge n: each bound refuses them with exit 3 before building anything
+    huge = 10**12
     if command in ("decompose", "zelevinsky"):
         rep = fuzz_rep(rng)
         obj = mutate_rep(rep, rng, huge) if rng.random() < 0.8 else rep

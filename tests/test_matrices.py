@@ -14,7 +14,6 @@ from qloci import (
     QQ,
     ShapeError,
     SingularMatrixError,
-    assemble_blocks,
 )
 from qloci.matrices import prefix_block_ranks
 
@@ -117,29 +116,6 @@ def test_inverse_errors():
         mat(QQ, [[1, 2], [2, 4]]).inverse()
 
 
-def test_assemble_single_block():
-    m = mat(QQ, [[1, 2], [3, 4]])
-    assert assemble_blocks([[m]], [2], [2]) == m
-
-
-def test_assemble_antidiagonal_identity_pattern():
-    dy, dx = 2, 1
-    w = assemble_blocks(
-        [[None, ExactMatrix.identity(QQ, dy)], [ExactMatrix.identity(QQ, dx), None]],
-        [dy, dx],
-        [dx, dy],
-    )
-    assert w == mat(QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-
-
-def test_assemble_zero_fill_and_mismatch():
-    a = mat(QQ, [[1]])
-    out = assemble_blocks([[a, None], [None, a]], [1, 1], [1, 1])
-    assert out == mat(QQ, [[1, 0], [0, 1]])
-    with pytest.raises(ShapeError):
-        assemble_blocks([[a, mat(QQ, [[1, 2]])]], [1], [1, 1])
-
-
 def test_json_round_trip():
     m = mat(QQ, [[Fraction(1, 2), 3], [0, Fraction(-7, 5)]])
     assert ExactMatrix.from_json(m.to_json()) == m
@@ -198,14 +174,18 @@ def test_modp_rank_agrees_with_independent_elimination(m):
 
 
 def test_block_identity_rank_sums():
+    # identity blocks on a random block permutation: block column k holds
+    # block row order[k], so every row and every column has exactly one 1
     rng = random.Random(5)
     for _ in range(20):
         sizes = [rng.randrange(0, 3) for _ in range(3)]
-        grid = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            grid[i][i] = ExactMatrix.identity(QQ, sizes[i])
-        m = assemble_blocks(grid, sizes, sizes, QQ)
-        assert m.rank() == sum(sizes)
+        order = rng.sample(range(3), 3)
+        d = sum(sizes)
+        rows = []
+        for i, size in enumerate(sizes):
+            at = sum(sizes[k] for k in order[: order.index(i)])
+            rows += [[int(c == at + a) for c in range(d)] for a in range(size)]
+        assert mat(QQ, rows).rank() == d
 
 
 def test_inverse_round_trip():

@@ -31,3 +31,17 @@ def test_exports_resolve_and_hold_no_module():
         assert not isinstance(getattr(qloci, name), ModuleType), name
     # the submodules stay reachable as package attributes
     assert isinstance(qloci.quiver, ModuleType) and isinstance(qloci.poset, ModuleType)
+
+
+def test_no_function_imports():
+    # every import sits at the top of its module, where the import graph shows
+    inside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside += [
+                    f"{path.name}:{sub.lineno}"
+                    for sub in ast.walk(node)
+                    if isinstance(sub, (ast.Import, ast.ImportFrom))
+                ]
+    assert inside == []

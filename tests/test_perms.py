@@ -5,7 +5,6 @@ import pytest
 
 from qloci import (
     BipartiteQuiver,
-    BlockSpec,
     DimensionVector,
     Permutation,
     bruhat_leq,
@@ -20,7 +19,7 @@ from qloci import (
 )
 from qloci.errors import InputError, ShapeError
 from qloci.oracle import bruhat_via_covers
-from qloci.perms import rank_table
+from qloci.perms import packed_rank_tables, rank_table
 from qloci.quiver import pack_fields
 from qloci.poset import enumerate_orbits
 from qloci.zelevinsky import block_rank_symbolic
@@ -113,12 +112,14 @@ def test_packed_bruhat_matches_plain_dominance_on_s5():
 
 
 def test_packed_bruhat_matches_plain_dominance_across_field_widths():
-    # rank-table entries reach d, so the field width steps from 4 to 5 bits
-    # between d = 7 and 8 and from 5 to 6 bits between d = 15 and 16
+    # rank-table entries reach d and `pack_fields` sizes its byte fields to
+    # hold 2 * d + 1, so the top bit of each field is a clear guard bit:
+    # d = 7, 8, 15, 16 and 127 pack into 1-byte fields, d = 128 into 2-byte
+    # fields (fewer draws there, since each table has d**2 entries)
     rng = random.Random(23)
-    for d in (7, 8, 15, 16):
+    for d, draws in ((7, 150), (8, 150), (15, 150), (16, 150), (127, 20), (128, 20)):
         outcomes = set()
-        for _ in range(150):
+        for _ in range(draws):
             word = list(range(1, d + 1))
             rng.shuffle(word)
             u = Permutation(tuple(word))
@@ -135,6 +136,9 @@ def test_packed_bruhat_matches_plain_dominance_across_field_widths():
                 assert bruhat_leq(x, y) == expected
                 outcomes.add(expected)
         assert outcomes == {True, False}
+        # the guard bit of the last of the d**2 fields is the top bit
+        _, guard = packed_rank_tables([Permutation.identity(d)])
+        assert guard.bit_length() == 8 * (1 if d < 128 else 2) * d * d
 
 
 def test_bruhat_is_partial_order_on_s4():
@@ -172,14 +176,12 @@ def test_cover_closure_small_structure():
         assert order3.leq(Permutation(word), top)
 
 
-def diamond_blocks():
-    q = BipartiteQuiver(1)
-    d = DimensionVector.of(1, 1, 1)
-    return q, d, layout_for(q, d).block_spec()
+def diamond():
+    return BipartiteQuiver(1), DimensionVector.of(1, 1, 1)
 
 
 def test_zelevinsky_permutation_examples():
-    q, d, spec = diamond_blocks()
+    q, d = diamond()
     nodes = enumerate_orbits(q, d)
     by_rank = {node.rank.values[3:]: node for node in nodes}
     assert by_rank[(0, 0, 0)].permutation == P(2, 3, 1)
@@ -190,22 +192,22 @@ def test_zelevinsky_permutation_examples():
 def test_zelevinsky_permutation_row_column_budgets():
     q = BipartiteQuiver(2)
     d = DimensionVector.of(1, 2, 2, 1, 1)
-    spec = layout_for(q, d).block_spec()
+    lay = layout_for(q, d)
     for node in enumerate_orbits(q, d):
         b = block_rank_symbolic(node.rank, d)
         p = node.permutation
         k = 2 * q.n + 1
         for bi in range(1, k + 1):
             total = sum(b.block_count(bi, bj) for bj in range(1, k + 1))
-            assert total == spec.row_sizes[bi - 1]
+            assert total == lay.row_sizes[bi - 1]
         for bj in range(1, k + 1):
             total = sum(b.block_count(bi, bj) for bi in range(1, k + 1))
-            assert total == spec.col_sizes[bj - 1]
-        assert is_block_minimal(p, spec)
+            assert total == lay.col_sizes[bj - 1]
+        assert is_block_minimal(p, lay.row_sizes, lay.col_sizes)
 
 
 def test_length_from_blocks_examples():
-    q, d, spec = diamond_blocks()
+    q, d = diamond()
     nodes = enumerate_orbits(q, d)
     by_rank = {node.rank.values[3:]: node for node in nodes}
     dense_b = block_rank_symbolic(by_rank[(1, 1, 1)].rank, d)
@@ -219,20 +221,29 @@ def test_length_from_blocks_matches_inversions_exhaustively():
 
     for n in (1, 2):
         q = BipartiteQuiver(n)
-        spec_cache = {}
         for dims in product(range(3), repeat=2 * n + 1):
             d = DimensionVector(dims)
-            spec = layout_for(q, d).block_spec()
             for node in enumerate_orbits(q, d):
                 b = block_rank_symbolic(node.rank, d)
                 assert length_from_blocks(b) == inversion_length(node.permutation)
 
 
+def test_block_sizes_must_partition_one_total():
+    b = hand_built((1, 1, 1), (1, 2, 2), (1, 2, 3))
+    with pytest.raises(ShapeError, match="row and column blocks partition different totals"):
+        zelevinsky_permutation(b, (1, 1, 1), (1, 1, 2))
+    with pytest.raises(ShapeError, match="block spec does not match the block rank matrix"):
+        zelevinsky_permutation(b, (1, 2), (1, 2))
+    with pytest.raises(ShapeError, match="row and column blocks partition different totals"):
+        is_block_minimal(Permutation.identity(3), (2, 1), (2, 2))
+    with pytest.raises(ShapeError, match="block spec does not match the permutation size"):
+        is_block_minimal(Permutation.identity(3), (2, 2), (2, 2))
+
+
 def test_is_block_minimal_counterexample():
-    spec = BlockSpec((2, 1), (2, 1))
-    assert is_block_minimal(Permutation.identity(3), spec)
+    assert is_block_minimal(Permutation.identity(3), (2, 1), (2, 1))
     # two swapped 1s inside the first 2x2 block
-    assert not is_block_minimal(P(2, 1, 3), spec)
+    assert not is_block_minimal(P(2, 1, 3), (2, 1), (2, 1))
 
 
 def test_essential_boxes_sit_in_block_corners():
@@ -254,24 +265,24 @@ def test_zelevinsky_permutation_rejects_negative_block_count():
     # block (1, 2) has second difference 0 + 0 - 1 - 0 = -1
     b = hand_built((1, 0, 0), (1, 1, 1), (1, 2, 3))
     with pytest.raises(InputError, match=r"negative block count at \(1,2\)"):
-        zelevinsky_permutation(b, BlockSpec((1, 1, 1), (1, 1, 1)))
+        zelevinsky_permutation(b, (1, 1, 1), (1, 1, 1))
 
 
 def test_zelevinsky_permutation_rejects_block_column_overflow():
     # block (1, 1) asks for two 1s; its block row has room, its column not
     b = hand_built((2, 2, 2), (2, 2, 3), (2, 3, 4))
     with pytest.raises(InputError, match="block column 1 cannot hold 2 more 1s"):
-        zelevinsky_permutation(b, BlockSpec((2, 1, 1), (1, 1, 2)))
+        zelevinsky_permutation(b, (2, 1, 1), (1, 1, 2))
 
 
 def test_zelevinsky_permutation_rejects_block_row_overflow():
     # block (1, 1) asks for two 1s; its block column has room, its row not
     b = hand_built((2, 2, 2), (2, 2, 3), (2, 3, 4))
     with pytest.raises(InputError, match="block row 1 cannot hold 2 more 1s"):
-        zelevinsky_permutation(b, BlockSpec((1, 1, 2), (2, 1, 1)))
+        zelevinsky_permutation(b, (1, 1, 2), (2, 1, 1))
 
 
 def test_zelevinsky_permutation_rejects_unfilled_permutation():
     b = hand_built((0, 0, 0), (0, 0, 0), (0, 0, 0))
     with pytest.raises(InputError, match="block counts do not fill the permutation"):
-        zelevinsky_permutation(b, BlockSpec((1, 1, 1), (1, 1, 1)))
+        zelevinsky_permutation(b, (1, 1, 1), (1, 1, 1))

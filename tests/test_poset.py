@@ -26,6 +26,11 @@ def arrow_ranks(node):
     return node.rank.values[3:]
 
 
+def rank_leq(a, b):
+    """Componentwise order on the rank arrays of two orbit nodes."""
+    return all(x <= y for x, y in zip(a.rank.values, b.rank.values))
+
+
 def test_enumerate_orbits_diamond():
     q, d = diamond()
     nodes = enumerate_orbits(q, d)
@@ -67,8 +72,8 @@ def test_unique_max_and_min():
     for dims in product(range(2), repeat=5):
         d = DimensionVector(dims)
         nodes = enumerate_orbits(q, d)
-        tops = [a for a in nodes if all(b.rank.leq(a.rank) for b in nodes)]
-        bottoms = [a for a in nodes if all(a.rank.leq(b.rank) for b in nodes)]
+        tops = [a for a in nodes if all(rank_leq(b, a) for b in nodes)]
+        bottoms = [a for a in nodes if all(rank_leq(a, b) for b in nodes)]
         assert len(tops) == 1 and len(bottoms) == 1
 
 
@@ -259,7 +264,7 @@ def test_json_export_round_trip_fields():
 def reference_covers(nodes):
     """Covers by brute force: a < b with no c strictly between, O(N^3)."""
     count = len(nodes)
-    leq = [[a.rank.leq(b.rank) for b in nodes] for a in nodes]
+    leq = [[rank_leq(a, b) for b in nodes] for a in nodes]
     return tuple(
         (a, b)
         for a in range(count)

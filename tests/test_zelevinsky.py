@@ -19,7 +19,7 @@ from qloci import (
     zelevinsky_map,
     zero_rep,
 )
-from qloci.errors import InputError
+from qloci.errors import InputError, ShapeError
 from qloci.oracle import iter_reps
 from qloci.quiver import Interval, d_x, d_y
 from qloci.reps import RankArray
@@ -59,6 +59,18 @@ def test_map_dense_rep_n1():
         [1, 0, 1],
         [1, 0, 0],
     ]
+
+
+def test_cell_matrix_from_star_antidiagonal_identity_pattern():
+    # dims (1, 1, 1): d_y = 2, d_x = 1, so the cell is [[star, 1_2], [1_1, 0]]
+    lay = layout_for(BipartiteQuiver(1), DimensionVector.of(1, 1, 1))
+    w = cell_matrix_from_star(ExactMatrix.zeros(QQ, 2, 1), lay).matrix
+    assert w == ExactMatrix.from_rows(QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    star = ExactMatrix.from_rows(GF2, [[1], [0]])
+    w = cell_matrix_from_star(star, lay).matrix
+    assert w == ExactMatrix.from_rows(GF2, [[1, 1, 0], [0, 0, 1], [1, 0, 0]])
+    with pytest.raises(ShapeError):
+        cell_matrix_from_star(ExactMatrix.zeros(QQ, 1, 2), lay)
 
 
 def test_block_rank_numeric_n1():
