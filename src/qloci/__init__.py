@@ -29,8 +29,6 @@ from .quiver import (
     TypeAQuiver,
     d_x,
     d_y,
-    interval_join,
-    interval_meet,
     interval_table,
 )
 from .reps import (

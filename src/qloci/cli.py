@@ -8,15 +8,19 @@ Each command declares only the options it reads:
     reduce      --quiver F [--dims CSV] [--format json|text]
     oracle      --quiver F --dims CSV [--p P] [--format json|text] [--guard N]
 
-The poset guard bounds the d**2 rank-table cells, the lace-search nodes
-and the node pairs (default ``poset.DEFAULT_LACE_GUARD``); the oracle guard
-bounds the points and the group order (default ``oracle.DEFAULT_POINT_GUARD``).
-The other commands have fixed bounds, checked before any matrix is built:
+The poset guard bounds the ((n+1)(2n+1))**2 cells of the packed weight
+rows (n that of the bipartite double for an oriented quiver), the d**2
+rank-table cells, the lace-search nodes and the node pairs (default
+``poset.DEFAULT_LACE_GUARD``); the oracle guard bounds the points and the
+group order (default ``oracle.DEFAULT_POINT_GUARD``).  The other bounds are
+fixed, each checked before the work it bounds:
 
     decompose, zelevinsky   sum(d(head) * d(tail)) over the arrows plus the
                             total dimension d <= poset.DEFAULT_LACE_GUARD
-    zelevinsky              d**2 <= poset.DEFAULT_LACE_GUARD for its d x d
-                            cell (the lifted d under --reduce)
+    decompose, zelevinsky,  the (n+1)(2n+1) intervals of the bipartite
+    oracle                  quiver, or of its double, <= MAX_INTERVALS
+    zelevinsky              d**2 <= MAX_CELL_ENTRIES for its d x d cell (the
+                            lifted d under --reduce)
     reduce                  bipartite n <= MAX_REDUCE_N
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 guard
@@ -61,6 +65,12 @@ from . import serde
 # Largest bipartite n that `reduce` accepts: it writes out the whole double,
 # and n = 10**5 takes about 1 s and 170 MB.
 MAX_REDUCE_N = 10**5
+# Most intervals (n+1)(2n+1) that `decompose`, `zelevinsky` and `oracle`
+# accept: n <= 222, where zero dims take up to 4 s (zelevinsky) on 2 vCPUs.
+MAX_INTERVALS = 10**5
+# Most entries of the d x d cell `zelevinsky` builds: d = 1000 takes about
+# 4.3 s and 32 MB.
+MAX_CELL_ENTRIES = 10**6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,6 +134,15 @@ def _parse_dims(text: str) -> DimensionVector:
         raise InputError(f"bad --dims value {text!r}") from exc
 
 
+def _check_intervals(q: BipartiteQuiver):
+    """Refuse a bipartite quiver with more than MAX_INTERVALS intervals."""
+    count = (q.n + 1) * (2 * q.n + 1)
+    if count > MAX_INTERVALS:
+        raise GuardExceededError(
+            f"bipartite n = {q.n} has {count} intervals, more than {MAX_INTERVALS}"
+        )
+
+
 def _emit(obj):
     print(json.dumps(obj, indent=2))
 
@@ -174,6 +193,7 @@ def cmd_decompose(args) -> int:
     rep = serde.rep_from_json(_load_json(_need(args, "rep", "decompose")))
     if isinstance(rep.quiver, TypeAQuiver):
         raise InputError("decompose expects a bipartite representation")
+    _check_intervals(rep.quiver)
     r = rank_array(rep)
     s = rank_to_lace(r, rep.dims)
     if args.format == "json":
@@ -202,10 +222,12 @@ def cmd_zelevinsky(args) -> int:
         if not args.reduce:
             raise InputError("input is not bipartite; pass --reduce to lift it")
         ctx = bipartite_double(rep.quiver)
-        check_table_guard(lift_dimension(ctx, rep.dims), DEFAULT_LACE_GUARD)
+        _check_intervals(ctx.target)
+        check_table_guard(lift_dimension(ctx, rep.dims), MAX_CELL_ENTRIES)
         rep = lift_rep(ctx, rep)
     else:
-        check_table_guard(rep.dims, DEFAULT_LACE_GUARD)
+        _check_intervals(rep.quiver)
+        check_table_guard(rep.dims, MAX_CELL_ENTRIES)
     z = zelevinsky_map(rep)
     layout = z.layout
     b = block_rank_numeric(z)
@@ -243,14 +265,19 @@ def cmd_poset(args) -> int:
     double's orbits in the open locus are kept (`open_locus_poset`): one
     node per orbit of the oriented quiver, with that orbit's dimension.  The
     output's quiver and dims stay those of the double, because the rank and
-    lace arrays are indexed by its intervals.
+    lace arrays are indexed by its intervals.  The guard first bounds the
+    cells of the packed weight rows, the squared interval count.
     """
     q = serde.quiver_from_json(_load_json(_need(args, "quiver", "poset")))
     dims = _parse_dims(_need(args, "dims", "poset"))
-    if isinstance(q, TypeAQuiver):
-        poset = open_locus_poset(bipartite_double(q), dims, args.guard)
-    else:
-        poset = build_poset(q, dims, guard=args.guard)
+    ctx = bipartite_double(q) if isinstance(q, TypeAQuiver) else None
+    n = ctx.target.n if ctx else q.n
+    cells = ((n + 1) * (2 * n + 1)) ** 2
+    if cells > args.guard:
+        raise GuardExceededError(
+            f"bipartite n = {n} gives {cells} weight cells, more than {args.guard}"
+        )
+    poset = open_locus_poset(ctx, dims, args.guard) if ctx else build_poset(q, dims, args.guard)
     q, dims = poset.quiver, poset.dims
     report = order_equivalence_report(poset)
     if not report.consistent:
@@ -314,10 +341,13 @@ def cmd_oracle(args) -> int:
     checks = []
 
     if isinstance(q, BipartiteQuiver):
+        _check_intervals(q)
         name, invariant = "rank_array determines orbits", rank_array
     else:
+        ctx = bipartite_double(q)
+        _check_intervals(ctx.target)
         name = "lifted rank array determines orbits"
-        invariant = partial(rank_array_arbitrary, bipartite_double(q))
+        invariant = partial(rank_array_arbitrary, ctx)
     census = orbit_partition(q, dims, p, args.guard, args.guard)
     checks.append((name, census.is_partitioned_by(invariant)))
 

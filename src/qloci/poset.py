@@ -81,13 +81,13 @@ def _lace_search(table, dims: DimensionVector, guard: int, allowed: int = -1):
     the node is cut.  The search keeps its own stack: per depth the current
     multiplicity and the frontier (the first vertex that may still have
     capacity).  Alongside the tuple it carries the rank array packed by
-    ``table.packed("weights", width)``, with fields wide enough for
+    ``table.packed_weights(width)``, with fields wide enough for
     sum(dims), the largest a rank can be: setting interval j to m adds m
     times packed row j, and each step of m down subtracts the row once.
     Every node visited counts against the guard.
     """
     width = field_width(sum(dims.values))
-    rows = table.packed("weights", width)
+    rows = table.packed_weights(width)
     ivs = table.intervals
     order = sorted(
         (i for i in range(len(table)) if allowed >> i & 1), key=lambda i: (ivs[i].lo, ivs[i].hi)

@@ -114,9 +114,6 @@ class BipartiteQuiver:
     def arrow_names(self) -> tuple[str, ...]:
         return tuple(edge_name(e) for e in self.edges())
 
-    def intervals(self) -> "IntervalTable":
-        return interval_table(self.n)
-
 
 def vertex_name(pos: int) -> str:
     if pos % 2 == 0:
@@ -154,9 +151,6 @@ class Interval:
     def arrow_count(self) -> int:
         return self.hi - self.lo
 
-    def edges(self):
-        return range(self.lo + 1, self.hi + 1)
-
     @property
     def left_edge(self) -> int:
         return self.lo + 1
@@ -164,24 +158,6 @@ class Interval:
     @property
     def right_edge(self) -> int:
         return self.hi
-
-    def shift_left(self) -> "Interval":
-        if self.is_vertex:
-            raise InputError("cannot shift a single-vertex interval")
-        return Interval(self.lo - 1, self.hi - 1)
-
-    def shift_right(self) -> "Interval":
-        if self.is_vertex:
-            raise InputError("cannot shift a single-vertex interval")
-        return Interval(self.lo + 1, self.hi + 1)
-
-    def truncate(self, n: int) -> "Interval | None":
-        """Clip to the real quiver; None when nothing remains."""
-        lo = max(self.lo, 0)
-        hi = min(self.hi, 2 * n)
-        if lo > hi:
-            return None
-        return Interval(lo, hi)
 
     def name(self) -> str:
         if self.is_vertex:
@@ -194,112 +170,70 @@ class Interval:
         return self.name()
 
 
-def interval_meet(a: Interval, b: Interval) -> Interval | None:
-    """Common subpath of two intervals, or None when they are disjoint."""
-    lo = max(a.lo, b.lo)
-    hi = min(a.hi, b.hi)
-    if lo > hi:
-        return None
-    return Interval(lo, hi)
-
-
-def interval_join(a: Interval, b: Interval) -> Interval:
-    """Smallest interval containing both (their convex hull)."""
-    return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
-
-
-def shared_arrows(a: Interval, b: Interval) -> int:
-    return max(0, min(a.hi, b.hi) - max(a.lo, b.lo))
-
-
 class IntervalTable:
-    """Precomputed interval data for the bipartite quiver with parameter n.
+    """Interval data for the bipartite quiver with parameter n.
 
-    Holds the canonical interval ordering (``intervals``: vertex intervals
-    by position, then arrow intervals by left endpoint and length), the
-    shift/meet/join bookkeeping behind the multiplicity formula,
-    interval-pair weights for the rank formula, and the vertices each arrow
-    interval holds.
+    ``spans`` holds the (lo, hi) vertex spans in the canonical order:
+    vertex intervals by position, then arrow intervals by left endpoint and
+    length; ``intervals``, ``index`` and ``arrow_intervals`` are read from
+    it.  ``shift_rows`` holds, per arrow interval, the sign and the rank
+    slots of the shift formula: J_L, J_R, their meet and their join, each
+    clipped by `rank_slot_of_span`.  The weights of the rank formula are
+    packed where they are read, by `packed_weights`.
     """
 
     def __init__(self, n: int):
         self.n = n
         top = 2 * n
-        verts = [Interval(p, p) for p in range(top + 1)]
-        arrows = [
-            Interval(lo, hi)
-            for lo in range(top)
-            for hi in range(lo + 1, top + 1)
-        ]
-        arrows.sort(key=lambda j: (j.lo, j.hi))
-        self.intervals = tuple(verts + arrows)
-        self.index = {j: i for i, j in enumerate(self.intervals)}
         self.vertex_count = top + 1
-        self.arrow_intervals = tuple(arrows)
-
-        # shift calculus per arrow interval: sign and the rank-lookup slots
-        # for J_L, J_R, their meet, and their join (slot -1 contributes 0)
-        shift_rows = []
-        for j in arrows:
-            jl = j.shift_left()
-            jr = j.shift_right()
-            sign = 1 if j.arrow_count % 2 == 0 else -1
-            meet = interval_meet(jl, jr)
-            join = interval_join(jl, jr)
-            shift_rows.append(
-                (
-                    sign,
-                    self._rank_slot(jl),
-                    self._rank_slot(jr),
-                    self._rank_slot(meet),
-                    self._rank_slot(join),
-                )
-            )
-        self.shift_rows = tuple(shift_rows)
-
-        # weights[i][j] = ceil(shared arrows of (intervals[i], intervals[j]) / 2)
-        ivs = self.intervals
-        self.weights = tuple(
-            tuple((shared_arrows(a, b) + 1) // 2 for b in ivs) for a in ivs
+        self.spans = tuple((p, p) for p in range(top + 1)) + tuple(
+            (lo, hi) for lo in range(top) for hi in range(lo + 1, top + 1)
         )
-        # supports[k][p] = 1 when the arrow interval arrow_intervals[k] holds p
-        self.supports = tuple(
-            tuple(int(j.lo <= p <= j.hi) for p in range(top + 1)) for j in arrows
+        self.intervals = tuple(Interval(lo, hi) for lo, hi in self.spans)
+        self.index = {j: i for i, j in enumerate(self.intervals)}
+        self.arrow_intervals = self.intervals[top + 1 :]
+        slot = self.rank_slot_of_span
+        self.shift_rows = tuple(
+            (
+                -1 if (hi - lo) % 2 else 1,
+                slot(lo - 1, hi - 1),
+                slot(lo + 1, hi + 1),
+                slot(lo + 1, hi - 1),
+                slot(lo - 1, hi + 1),
+            )
+            for lo, hi in self.spans[top + 1 :]
         )
         self._packed = {}
 
-    def packed(self, rows: str, width: int) -> tuple[int, ...]:
-        """Each row of ``weights`` or ``supports`` (named by ``rows``) packed
-        into one integer by `pack_row`, with fields of ``width`` bytes.
+    def packed_weights(self, width: int) -> tuple[int, ...]:
+        """Per interval J', the row of ceil(shared arrows(J, J') / 2) over
+        every interval J, packed by `pack_row` with fields of ``width`` bytes.
 
-        Adding m times packed row j of ``weights`` to a packed rank array
-        adds the ranks of m copies of the indecomposable on interval j; no
-        field carries into the next while every value stays below
-        256**width.
+        Adding m times row J' to a packed rank array adds the ranks of m
+        copies of the indecomposable on J'; no field carries into the next
+        while every value stays below 256**width.
         """
-        key = (rows, width)
-        out = self._packed.get(key)
+        out = self._packed.get(width)
         if out is None:
-            out = tuple(pack_row(row, width) for row in getattr(self, rows))
-            self._packed[key] = out
+            spans = self.spans
+            out = tuple(
+                pack_row([(max(0, min(hi, h) - max(lo, l)) + 1) // 2 for l, h in spans], width)
+                for lo, hi in spans
+            )
+            self._packed[width] = out
         return out
 
-    def _rank_slot(self, j: Interval | None) -> int:
-        if j is None:
-            return -1
-        t = j.truncate(self.n)
-        if t is None or t.is_vertex:
-            return -1
-        return self.index[t]
-
     def rank_slot_of_span(self, lo: int, hi: int) -> int:
-        """Lookup slot for the span's truncation; -1 when the rank is forced 0."""
-        if lo > hi:
+        """Slot of the span clipped to [0, 2n]; -1 when no arrow is left,
+        so the rank is forced 0."""
+        top = self.vertex_count - 1
+        lo, hi = max(lo, 0), min(hi, top)
+        if lo >= hi:
             return -1
-        return self._rank_slot(Interval(lo, hi))
+        return top + lo * (2 * top - lo + 1) // 2 + hi - lo
 
     def __len__(self):
-        return len(self.intervals)
+        return len(self.spans)
 
 
 @lru_cache(maxsize=None)

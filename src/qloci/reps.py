@@ -18,6 +18,7 @@ interval matrix and is the reference the rank array is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add, sub
 
 from .errors import (
@@ -155,15 +156,14 @@ def assemble_interval_matrix(v: Representation, j: Interval) -> ExactMatrix:
     interval yields a d(v) x 0 matrix.
     """
     q = v.quiver
-    n = q.n
     field = v.field
-    t = j.truncate(n)
-    if t is None:
+    lo, hi = max(j.lo, 0), min(j.hi, 2 * q.n)
+    if lo > hi:
         return ExactMatrix.zeros(field, 0, 0)
-    if t.is_vertex:
-        return ExactMatrix.zeros(field, v.dims[t.lo], 0)
-    row_pos = [p for p in range(t.lo, t.hi + 1) if p % 2 == 0]
-    col_pos = [p for p in range(t.lo, t.hi + 1) if p % 2 == 1]
+    if lo == hi:
+        return ExactMatrix.zeros(field, v.dims[lo], 0)
+    row_pos = [p for p in range(lo, hi + 1) if p % 2 == 0]
+    col_pos = [p for p in range(lo, hi + 1) if p % 2 == 1]
     col_pos.reverse()  # matches the snake layout: sources ordered x_n .. x_1
     row_off = {}
     off = 0
@@ -177,7 +177,7 @@ def assemble_interval_matrix(v: Representation, j: Interval) -> ExactMatrix:
         coff += v.dims[p]
     z = field.zero()
     data = [[z] * coff for _ in range(off)]
-    for e in t.edges():
+    for e in range(lo + 1, hi + 1):
         h, tl = q.arrows[e - 1]
         m = v.arrows[e - 1]
         ro, co = row_off[h], col_off[tl]
@@ -238,14 +238,15 @@ class LaceArray:
 
 def _arrow_coverage(table, arrow) -> tuple[int, ...]:
     """Per vertex, the summed multiplicities ``arrow`` gives the arrow
-    intervals that hold it: one multiply-add per arrow interval over the
-    packed ``supports`` rows.  The multiplicities must be nonnegative."""
-    width = field_width(sum(arrow))
-    covered = 0
-    for m, row in zip(arrow, table.packed("supports", width)):
+    intervals that hold it: each arrow span adds its multiplicity at lo and
+    takes it off past hi, and prefix sums read off the coverage."""
+    vc = table.vertex_count
+    steps = [0] * (vc + 1)
+    for m, (lo, hi) in zip(arrow, table.spans[vc:]):
         if m:
-            covered += m * row
-    return unpack_fields(covered, width, table.vertex_count)
+            steps[lo] += m
+            steps[hi + 1] -= m
+    return tuple(accumulate(steps[:vc]))
 
 
 def rank_array(v: Representation) -> RankArray:
@@ -266,7 +267,6 @@ def rank_array(v: Representation) -> RankArray:
             f"rank arrays are defined on the bipartite quiver; lift the {q.orientation!r} "
             "representation first (reduction.rank_array_arbitrary)"
         )
-    table = q.intervals()
     top = 2 * q.n
     d = v.dims.values
     # the vertex of each row (sinks) and column (sources) of M_0, and the
@@ -284,7 +284,7 @@ def rank_array(v: Representation) -> RankArray:
         ro, co = first_row[h], first_col[t]
         for i, srow in enumerate(m.data):
             data[ro + i][co : co + m.cols] = srow
-    vals = [0] * table.vertex_count
+    vals = [0] * (top + 1)
     for lo in range(top):
         r0, c0 = first_row[lo], first_col[lo]
         sub = [row[c0:] for row in data[r0:]]
@@ -304,10 +304,10 @@ def lace_to_rank(s: LaceArray) -> RankArray:
     """Rank array of a direct sum with the given multiplicities: each summand
     supported on J' contributes ceil(shared arrows(J, J') / 2) to the rank at J.
 
-    The sum runs over packed weight rows (``IntervalTable.packed``), one
-    integer per interval, so each summand type costs one multiply-add.  The
-    fields are sized from the input: a rank is at most the total dimension,
-    itself at most (2n+1) times the sum of the multiplicities.
+    The sum runs over packed weight rows (`IntervalTable.packed_weights`),
+    one integer per interval, so each summand type costs one multiply-add.
+    The fields are sized from the input: a rank is at most the total
+    dimension, itself at most (2n+1) times the sum of the multiplicities.
     """
     table = interval_table(s.n)
     values = s.values
@@ -315,7 +315,7 @@ def lace_to_rank(s: LaceArray) -> RankArray:
         raise InputError("lace array has a negative multiplicity")
     width = field_width(sum(values) * table.vertex_count)
     packed = 0
-    for m, row in zip(values, table.packed("weights", width)):
+    for m, row in zip(values, table.packed_weights(width)):
         if m:
             packed += m * row
     return RankArray(s.n, unpack_fields(packed, width, len(table)))
@@ -328,10 +328,10 @@ def rank_to_lace(r: RankArray, d: DimensionVector) -> LaceArray:
     evaluated with the zero-padded boundary convention: one pass over the
     lookup slots of ``table.shift_rows`` reads the rank values with a 0
     appended, so slot -1 reads 0.  Vertex multiplicities are then fixed by
-    the dimension vector, less the arrow summands over each vertex
-    (`_arrow_coverage`, which `LaceArray.dims` also reads).  A
-    negative multiplicity means the input was not a valid rank array and
-    raises.
+    the dimension vector, less the arrow summands over each vertex, summed
+    by prefix over the arrow spans (`_arrow_coverage`, which
+    `LaceArray.dims` also reads).  A negative multiplicity means the input
+    was not a valid rank array and raises.
     """
     table = interval_table(r.n)
     if len(d) != table.vertex_count:

@@ -15,7 +15,7 @@ from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InputError, ShapeError
 from .matrices import ExactMatrix, prefix_block_ranks
@@ -50,23 +50,23 @@ class BlockLayout:
         if len(self.dims) != 2 * self.n + 1:
             raise InputError("dimension vector does not match n")
 
-    @property
+    @cached_property
     def row_positions(self) -> tuple[int, ...]:
         ys = tuple(2 * i for i in range(self.n + 1))
         xs = tuple(2 * k - 1 for k in range(self.n, 0, -1))
         return ys + xs
 
-    @property
+    @cached_property
     def col_positions(self) -> tuple[int, ...]:
         xs = tuple(2 * k - 1 for k in range(self.n, 0, -1))
         ys = tuple(2 * i for i in range(self.n + 1))
         return xs + ys
 
-    @property
+    @cached_property
     def row_sizes(self) -> tuple[int, ...]:
         return tuple(self.dims[p] for p in self.row_positions)
 
-    @property
+    @cached_property
     def col_sizes(self) -> tuple[int, ...]:
         return tuple(self.dims[p] for p in self.col_positions)
 

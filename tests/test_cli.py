@@ -294,7 +294,8 @@ def test_huge_representations_exit_3_before_any_matrix(tmp_path, capsys, command
 
 def test_zelevinsky_bounds_its_cell(tmp_path, capsys):
     # n = 0, d = 3163: 3,163 rows pass the representation bound, but the
-    # d x d cell would hold 10,004,569 > 10**7 cells (decompose builds none)
+    # d x d cell would hold 10,004,569 > cli.MAX_CELL_ENTRIES cells
+    # (decompose builds none)
     rep = write(tmp_path, "rep.json", {"quiver": {"type": "bipartiteA", "n": 0}, "dims": [3163]})
     code, _, err = run_main(capsys, ["zelevinsky", "--rep", rep])
     assert code == 3 and "10004569 table cells" in err
@@ -304,6 +305,76 @@ def test_zelevinsky_bounds_its_cell(tmp_path, capsys):
     rep = write(tmp_path, "rr.json", rr)
     code, _, err = run_main(capsys, ["zelevinsky", "--rep", rep, "--reduce"])
     assert code == 3 and "dimension 4002" in err
+
+
+def test_zelevinsky_cell_bound_at_its_edge(tmp_path, capsys, monkeypatch):
+    rep = write(tmp_path, "rep.json", {"quiver": {"type": "bipartiteA", "n": 0}, "dims": [1001]})
+    code, _, err = run_main(capsys, ["zelevinsky", "--rep", rep])
+    assert code == 3 and "1002001 table cells, more than 1000000" in err
+    monkeypatch.setattr("qloci.cli.MAX_CELL_ENTRIES", 16)
+    for d, expected in ((4, 0), (5, 3)):
+        rep = write(tmp_path, "rep.json", {"quiver": {"type": "bipartiteA", "n": 0}, "dims": [d]})
+        assert run_main(capsys, ["zelevinsky", "--rep", rep])[0] == expected
+
+
+def zero_rep_argv(tmp_path, command, quiver, dims):
+    """An argv running ``command`` on the zero representation of ``dims``."""
+    if command == "oracle":
+        path = write(tmp_path, "q.json", quiver)
+        return [command, "--quiver", path, "--dims", ",".join(map(str, dims))]
+    path = write(tmp_path, "rep.json", {"quiver": quiver, "dims": dims})
+    return [command, "--rep", path] + (["--reduce"] if quiver["type"] == "A" else [])
+
+
+@pytest.mark.parametrize("command", ["decompose", "zelevinsky", "oracle"])
+def test_many_intervals_exit_3_before_any_rank(tmp_path, capsys, command):
+    # bipartite n = 3000 with zero dims has no matrix cell or row to refuse,
+    # but 18,009,001 intervals
+    argv = zero_rep_argv(tmp_path, command, {"type": "bipartiteA", "n": 3000}, [0] * 6001)
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "18009001 intervals, more than 100000" in err
+
+
+@pytest.mark.parametrize("command", ["decompose", "zelevinsky", "oracle"])
+def test_interval_bound_at_its_edge(tmp_path, capsys, monkeypatch, command):
+    # bipartite n = 1 has 6 intervals and n = 2 has 15, as does the double of RR
+    monkeypatch.setattr("qloci.cli.MAX_INTERVALS", 6)
+    for n, expected in ((1, 0), (2, 3)):
+        quiver = {"type": "bipartiteA", "n": n}
+        argv = zero_rep_argv(tmp_path, command, quiver, [1] * (2 * n + 1))
+        assert run_main(capsys, argv)[0] == expected
+    if command != "decompose":
+        argv = zero_rep_argv(tmp_path, command, {"type": "A", "orientation": "RR"}, [1, 1, 1])
+        for bound, expected in ((14, 3), (15, 0)):
+            monkeypatch.setattr("qloci.cli.MAX_INTERVALS", bound)
+            assert run_main(capsys, argv)[0] == expected
+
+
+def test_poset_guard_bounds_the_weight_rows(tmp_path, capsys):
+    # the lace search packs a row of weights per interval, whatever the
+    # dims: 6 x 6 cells for bipartite n = 1, 15 x 15 for the double of RR
+    cases = [({"type": "bipartiteA", "n": 1}, 36), ({"type": "A", "orientation": "RR"}, 225)]
+    for quiver, cells in cases:
+        argv = ["poset", "--quiver", write(tmp_path, "q.json", quiver), "--dims", "0,0,0"]
+        code, out, err = run_main(capsys, argv + ["--guard", str(cells - 1)])
+        assert code == 3 and out == "" and f"{cells} weight cells" in err
+        assert run_main(capsys, argv + ["--guard", str(cells)])[0] == 0
+
+
+def test_decompose_builds_no_table_per_interval_pair(tmp_path, capsys):
+    # bipartite n = 50, dims all 1: 5,151 intervals, and no table over
+    # their 26,532,801 pairs may be built
+    rep = {"quiver": {"type": "bipartiteA", "n": 50}, "dims": [1] * 101}
+    rep = write(tmp_path, "rep.json", rep)
+    start = time.perf_counter()
+    code, out, _ = run_main(capsys, ["decompose", "--rep", rep, "--format", "json"])
+    assert time.perf_counter() - start < 3.0
+    assert code == 0
+    lace = json.loads(out)["lace_array"]
+    assert len(lace) == 101 and all("vertex" in item["interval"] for item in lace)
 
 
 def test_reduce_bounds_bipartite_n(tmp_path, capsys, monkeypatch):
@@ -464,6 +535,10 @@ FUZZ_QUIVERS = [
 ]
 # values a mutation puts where the input wants something else
 FUZZ_VALUES = [1.5, True, False, None, "1", "abc", -1, [1], {}]
+# a bipartite quiver too long for every command but `reduce`, given with the
+# zero dims that match it
+LONG_N = 10**4
+LONG_QUIVER = {"type": "bipartiteA", "n": LONG_N}
 
 
 def fuzz_rep(rng):
@@ -488,7 +563,7 @@ def mutate_rep(rep, rng, huge):
     ``huge`` is the large dimension it may put in."""
     matrices = list(rep["arrows"].values())
     m = rng.choice(matrices) if matrices else None
-    kind = rng.randrange(12)
+    kind = rng.randrange(13)
     if kind == 0:
         del rep[rng.choice(["quiver", "dims", "arrows"])]
     elif kind == 1:
@@ -519,13 +594,15 @@ def mutate_rep(rep, rng, huge):
             m["entries"][row] = rng.choice(["12", {"0": 1}, 7])
     elif kind == 11 and m:
         m["entries"] = rng.choice(["ab", None, {}])
+    elif kind == 12:
+        rep.update(quiver=dict(LONG_QUIVER), dims=[0] * (2 * LONG_N + 1), arrows={})
     return rep
 
 
 def mutate_quiver(quiver, rng):
     """Apply one mutation, or none, to a valid quiver object."""
     quiver = dict(quiver)
-    kind = rng.randrange(5)
+    kind = rng.randrange(6)
     if kind == 0:
         quiver.pop(rng.choice(["type", "n", "orientation"]), None)
     elif kind == 1:
@@ -534,6 +611,8 @@ def mutate_quiver(quiver, rng):
         quiver["type"] = rng.choice(["C", None, 3])
     elif kind == 3:
         return rng.choice([[], "x", 3, None])
+    elif kind == 4:
+        return dict(LONG_QUIVER)
     return quiver
 
 
@@ -542,7 +621,10 @@ def fuzz_argv(rng, tmp_path, case):
     command = rng.choice(["decompose", "zelevinsky", "poset", "reduce", "oracle"])
     path = tmp_path / f"case{case}.json"
     # every command may get the huge dimension 10**12, and mutate_quiver a
-    # huge n: each bound refuses them with exit 3 before building anything
+    # huge n: each bound refuses them with exit 3 before building anything.
+    # Both mutations may also give bipartite n = LONG_N with zero dims to
+    # match: `reduce` accepts it, and the interval bound, or the poset
+    # guard on the weight rows, refuses it with exit 3 on the others
     huge = 10**12
     if command in ("decompose", "zelevinsky"):
         rep = fuzz_rep(rng)
@@ -555,7 +637,9 @@ def fuzz_argv(rng, tmp_path, case):
         obj = mutate_quiver(quiver, rng) if rng.random() < 0.25 else quiver
         size = quiver.get("n", 0) * 2 + 1 if "n" in quiver else len(quiver["orientation"]) + 1
         dims = [rng.randint(0, 2) for _ in range(size + rng.choice([0] * 8 + [-1, 1]))]
-        if dims and rng.random() < 0.2:
+        if obj == LONG_QUIVER:
+            dims = [0] * (2 * LONG_N + 1)
+        elif dims and rng.random() < 0.2:
             dims[rng.randrange(len(dims))] = rng.choice([-1, huge])
         text = ",".join(map(str, dims))
         if rng.random() < 0.05:

@@ -218,17 +218,20 @@ def test_lace_search_matches_the_recursive_reference():
 
 
 def test_enumerate_orbits_ranks_follow_the_weight_formula():
-    # the rank array the search carries packed, against the unpacked sum
-    # of table.weights rows over the summands
+    # the rank array the search carries packed, against the rank formula
+    # r_J = sum over J' of m_J' * ceil(|J cap J'| / 2), |J cap J'| counting
+    # the arrows both intervals span
     from itertools import product
 
     for n in range(3):
-        q, table = BipartiteQuiver(n), interval_table(n)
+        q, ivs = BipartiteQuiver(n), interval_table(n).intervals
+        arrows = [set(range(j.lo + 1, j.hi + 1)) for j in ivs]
+        weights = [[(len(a & b) + 1) // 2 for b in arrows] for a in arrows]
         for dims in product(range(3), repeat=2 * n + 1):
             for node in enumerate_orbits(q, DimensionVector(dims)):
                 assert node.rank.values == tuple(
-                    sum(m * row[i] for m, row in zip(node.lace.values, table.weights))
-                    for i in range(len(table))
+                    sum(m * row[i] for m, row in zip(node.lace.values, weights))
+                    for i in range(len(ivs))
                 )
 
 

@@ -1,8 +1,6 @@
 import time
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from qloci import (
     BipartiteQuiver,
@@ -10,11 +8,16 @@ from qloci import (
     InputError,
     Interval,
     TypeAQuiver,
-    interval_join,
-    interval_meet,
     interval_table,
 )
-from qloci.quiver import edge_name, field_width, pack_fields, unpack_fields, vertex_name
+from qloci.quiver import (
+    IntervalTable,
+    edge_name,
+    field_width,
+    pack_fields,
+    unpack_fields,
+    vertex_name,
+)
 from qloci.serde import interval_to_json
 
 
@@ -52,59 +55,68 @@ def test_vertex_and_edge_names():
     assert interval_to_json(J(1, 4)) == {"left": "a1", "right": "b2"}
 
 
-def test_shift_examples():
-    assert J(3, 4).shift_left() == J(2, 3)  # [a2,b2] -> [b1,a2]
-    assert J(1, 2).shift_left() == J(0, 1)  # [a1,b1] -> [b0,a1], b0 phantom
-    assert J(1, 1).shift_right() == J(2, 2)  # [a1] -> [b1]
-    with pytest.raises(InputError):
-        Interval.vertex(2).shift_left()
-
-
-def test_meet_join_examples():
-    # shifts of J=[a1]: J_L = [b0], J_R = [b1]
-    jl, jr = J(1, 1).shift_left(), J(1, 1).shift_right()
-    assert interval_meet(jl, jr) is None
-    assert interval_join(jl, jr) == J(0, 2)
-    assert interval_meet(J(1, 2), J(2, 2)) == J(2, 2)
-    assert interval_meet(J(1, 1), J(2, 2)) == Interval.vertex(1)
-
-
 def test_arrow_count():
     assert Interval.vertex(0).arrow_count == 0
     assert J(1, 2).arrow_count == 2
     assert J(0, 2).arrow_count == 3  # [b0,b1] with phantom b0
 
 
-spans = st.tuples(st.integers(0, 7), st.integers(0, 7)).map(
-    lambda t: Interval(min(t), max(t) + 1)
-)
+def clipped_slot(table, lo, hi):
+    """The slot of a span clipped to the quiver, by lookup; -1 when the
+    span is empty or keeps no arrow."""
+    lo, hi = max(lo, 0), min(hi, 2 * table.n)
+    return table.index[Interval(lo, hi)] if lo < hi else -1
 
 
-@given(spans)
-def test_shift_round_trip(j):
-    assert j.shift_left().shift_right() == j
-    assert j.shift_right().shift_left() == j
+@pytest.mark.parametrize("n", range(6))
+def test_rank_slot_of_span_clips_to_the_quiver(n):
+    table = interval_table(n)
+    for lo in range(-3, 2 * n + 4):
+        for hi in range(-3, 2 * n + 4):
+            assert table.rank_slot_of_span(lo, hi) == clipped_slot(table, lo, hi), (lo, hi)
+    assert table.rank_slot_of_span(-1, 0) == -1  # only the phantom edge 0
 
 
-@given(spans)
-def test_meet_join_arrow_count_relations(j):
-    jl, jr = j.shift_left(), j.shift_right()
-    meet = interval_meet(jl, jr)
-    join = interval_join(jl, jr)
-    assert join.arrow_count == j.arrow_count + 2
-    if meet is not None:
-        assert join.arrow_count - meet.arrow_count == 4
-    # against a single shift the counts differ by two
-    meet_l = interval_meet(j, jl)
-    assert meet_l is not None
-    assert interval_join(j, jl).arrow_count - meet_l.arrow_count == 2
+@pytest.mark.parametrize("n", range(6))
+def test_shift_rows_follow_the_shift_formula(n):
+    # per arrow interval J: J_L and J_R are J moved one step left and right,
+    # and the row holds the sign of J and the clipped slots of J_L, J_R,
+    # their meet (common subpath) and their join (convex hull)
+    table = interval_table(n)
+    want = []
+    for j in table.arrow_intervals:
+        left, right = (j.lo - 1, j.hi - 1), (j.lo + 1, j.hi + 1)
+        meet = (max(left[0], right[0]), min(left[1], right[1]))
+        join = (min(left[0], right[0]), max(left[1], right[1]))
+        sign = 1 if j.arrow_count % 2 == 0 else -1
+        slots = tuple(clipped_slot(table, *span) for span in (left, right, meet, join))
+        want.append((sign,) + slots)
+    assert table.shift_rows == tuple(want)
 
 
-def test_truncate():
-    assert J(1, 2).truncate(1) == J(1, 2)
-    assert Interval(0, 3).truncate(1) == Interval(0, 2)  # clip phantom a2
-    assert Interval(-1, 0).truncate(1) == Interval.vertex(0)
-    assert Interval(3, 3).truncate(1) is None or Interval(3, 3).truncate(1).is_vertex
+def shared_edges(a, b):
+    """How many arrows the intervals a and b both span."""
+    return len(set(range(a.lo + 1, a.hi + 1)) & set(range(b.lo + 1, b.hi + 1)))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_packed_weights_unpack_to_half_the_shared_arrows(n):
+    table = interval_table(n)
+    count = len(table)
+    for width in (1, 2, 3):
+        rows = table.packed_weights(width)
+        assert rows is table.packed_weights(width)  # packed once per width
+        for a, row in zip(table.intervals, rows):
+            want = tuple((shared_edges(a, b) + 1) // 2 for b in table.intervals)
+            assert unpack_fields(row, width, count) == want
+
+
+def test_interval_table_builds_in_linear_time():
+    # n = 100 has 20,301 intervals; no table per pair of them is built
+    start = time.perf_counter()
+    table = IntervalTable(100)
+    assert time.perf_counter() - start < 1.0
+    assert len(table) == len(table.intervals) == 20_301
 
 
 def test_interval_table_shift_rows_signs():

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -34,7 +35,6 @@ from qloci import (
 )
 from qloci.fields import PrimeField
 from qloci.oracle import gl_elements, iter_reps
-from qloci.quiver import shared_arrows
 from qloci.reduction import bipartite_double, lift_rep
 from qloci.serde import quiver_to_json, rep_from_json
 
@@ -42,6 +42,19 @@ from qloci.serde import quiver_to_json, rep_from_json
 def J(a, b):
     """The interval spanning edges a..b."""
     return Interval(a - 1, b)
+
+
+def shared_arrows(a, b):
+    """How many arrows the intervals a and b both span."""
+    return len(set(range(a.lo + 1, a.hi + 1)) & set(range(b.lo + 1, b.hi + 1)))
+
+
+@lru_cache(maxsize=None)
+def rank_weights(n):
+    """weights[j'][j] = ceil(shared arrows(j, j') / 2): the rank at j of the
+    indecomposable on j'."""
+    ivs = interval_table(n).intervals
+    return tuple(tuple((shared_arrows(a, b) + 1) // 2 for b in ivs) for a in ivs)
 
 
 def rep1(a1, b1, field=QQ):
@@ -106,7 +119,7 @@ def test_rank_function_examples():
     assert assemble_interval_matrix(ind, J(1, 1)).rank() == 1
     q = BipartiteQuiver(2)
     z = zero_rep(q, DimensionVector.of(2, 1, 2, 1, 2))
-    for j in q.intervals().intervals:
+    for j in interval_table(2).intervals:
         assert assemble_interval_matrix(z, j).rank() == 0
     # an indecomposable with four arrows has rank ceil(4/2)=2 on its own interval
     ind4 = indecomposable_rep(q, J(1, 4))
@@ -168,7 +181,7 @@ def test_rank_to_lace_examples():
 
 def interval_ranks(v):
     """The per-interval reference: assemble and rank each interval matrix."""
-    table = v.quiver.intervals()
+    table = interval_table(v.quiver.n)
     ranks = [0] * table.vertex_count
     ranks += [assemble_interval_matrix(v, j).rank() for j in table.arrow_intervals]
     return RankArray(v.quiver.n, tuple(ranks))
@@ -264,9 +277,9 @@ def test_rank_to_lace_error_messages_name_the_first_negative_multiplicity():
 
 def weighted_rank_sum(s):
     """lace_to_rank by the formula, one weights row per summand type."""
-    table = interval_table(s.n)
+    weights = rank_weights(s.n)
     return tuple(
-        sum(m * table.weights[j][i] for j, m in enumerate(s.values)) for i in range(len(table))
+        sum(m * weights[j][i] for j, m in enumerate(s.values)) for i in range(len(weights))
     )
 
 
@@ -313,6 +326,26 @@ def test_lace_search_packs_wide_rank_fields(dims):
         assert unpack_fields(packed, width, len(table)) == weighted_rank_sum(s)
         found += 1
     assert found > 0
+
+
+def test_arrow_coverage_matches_the_plain_vertex_sums():
+    # the prefix sums over the arrow spans, read through LaceArray.dims and
+    # rank_to_lace, against summing each vertex's intervals one by one
+    from qloci.poset import iter_lace_values
+
+    for n in range(4):
+        q, table = BipartiteQuiver(n), interval_table(n)
+        holders = [
+            [i for i, j in enumerate(table.intervals) if j.lo <= p <= j.hi]
+            for p in range(table.vertex_count)
+        ]
+        for dims in product(range(3), repeat=2 * n + 1):
+            d = DimensionVector(dims)
+            for values in iter_lace_values(q, d):
+                s = LaceArray(n, values)
+                plain = tuple(sum(values[i] for i in held) for held in holders)
+                assert s.dims().values == plain == dims
+                assert rank_to_lace(lace_to_rank(s), d) == s
 
 
 def test_lace_to_rank_refuses_negative_multiplicities():
