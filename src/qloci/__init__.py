@@ -82,7 +82,6 @@ from .reduction import (
     bipartite_double,
     lift_dimension,
     lift_rep,
-    open_locus_poset,
     project,
     project_group,
     rank_array_arbitrary,

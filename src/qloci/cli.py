@@ -9,11 +9,11 @@ Each command declares only the options it reads:
     oracle      --quiver F --dims CSV [--p P] [--format json|text] [--guard N]
 
 The poset guard bounds the ((n+1)(2n+1))**2 cells of the packed weight
-rows (n that of the bipartite double for an oriented quiver), the d**2
-rank-table cells, the lace-search nodes and the node pairs (default
-``poset.DEFAULT_LACE_GUARD``); the oracle guard bounds the points and the
-group order (default ``oracle.DEFAULT_POINT_GUARD``).  The other bounds are
-fixed, each checked before the work it bounds:
+rows (n that of `reduction.bipartite_double`, the quiver itself when it is
+bipartite), the d**2 rank-table cells, the lace-search nodes and the node
+pairs (default ``poset.DEFAULT_LACE_GUARD``); the oracle guard bounds the
+points and the group order (default ``oracle.DEFAULT_POINT_GUARD``).  The
+other bounds are fixed, each checked before the work it bounds:
 
     decompose, zelevinsky   sum(d(head) * d(tail)) over the arrows plus the
                             total dimension d <= poset.DEFAULT_LACE_GUARD
@@ -52,13 +52,7 @@ from .poset import (
 )
 from .quiver import BipartiteQuiver, DimensionVector, TypeAQuiver, d_x, d_y, interval_table
 from .reps import rank_array, rank_to_lace
-from .reduction import (
-    bipartite_double,
-    lift_dimension,
-    lift_rep,
-    open_locus_poset,
-    rank_array_arbitrary,
-)
+from .reduction import bipartite_double, lift_dimension, lift_rep, rank_array_arbitrary
 from .zelevinsky import block_rank_numeric, block_rank_symbolic, zelevinsky_map
 from . import serde
 
@@ -191,9 +185,10 @@ def _block_text(block, rsize, csize) -> str:
 
 def cmd_decompose(args) -> int:
     rep = serde.rep_from_json(_load_json(_need(args, "rep", "decompose")))
-    if isinstance(rep.quiver, TypeAQuiver):
+    ctx = bipartite_double(rep.quiver)
+    if ctx.source != ctx.target:
         raise InputError("decompose expects a bipartite representation")
-    _check_intervals(rep.quiver)
+    _check_intervals(ctx.target)
     r = rank_array(rep)
     s = rank_to_lace(r, rep.dims)
     if args.format == "json":
@@ -218,16 +213,12 @@ def cmd_decompose(args) -> int:
 
 def cmd_zelevinsky(args) -> int:
     rep = serde.rep_from_json(_load_json(_need(args, "rep", "zelevinsky")))
-    if isinstance(rep.quiver, TypeAQuiver):
-        if not args.reduce:
-            raise InputError("input is not bipartite; pass --reduce to lift it")
-        ctx = bipartite_double(rep.quiver)
-        _check_intervals(ctx.target)
-        check_table_guard(lift_dimension(ctx, rep.dims), MAX_CELL_ENTRIES)
-        rep = lift_rep(ctx, rep)
-    else:
-        _check_intervals(rep.quiver)
-        check_table_guard(rep.dims, MAX_CELL_ENTRIES)
+    ctx = bipartite_double(rep.quiver)
+    if ctx.source != ctx.target and not args.reduce:
+        raise InputError("input is not bipartite; pass --reduce to lift it")
+    _check_intervals(ctx.target)
+    check_table_guard(lift_dimension(ctx, rep.dims), MAX_CELL_ENTRIES)
+    rep = lift_rep(ctx, rep)
     z = zelevinsky_map(rep)
     layout = z.layout
     b = block_rank_numeric(z)
@@ -261,23 +252,23 @@ def cmd_zelevinsky(args) -> int:
 def cmd_poset(args) -> int:
     """Degeneration poset of a quiver and dimension vector.
 
-    An oriented quiver is lifted to its bipartite double, and only the
-    double's orbits in the open locus are kept (`open_locus_poset`): one
-    node per orbit of the oriented quiver, with that orbit's dimension.  The
-    output's quiver and dims stay those of the double, because the rank and
-    lace arrays are indexed by its intervals.  The guard first bounds the
-    cells of the packed weight rows, the squared interval count.
+    Every quiver is carried by its bipartite double, itself when bipartite,
+    and only the double's orbits in the open locus are kept (`build_poset`):
+    one node per orbit of the given quiver, with that orbit's dimension.
+    The output's quiver and dims stay those of the double, because the rank
+    and lace arrays are indexed by its intervals.  The guard first bounds
+    the cells of the packed weight rows, the squared interval count of the
+    double.
     """
     q = serde.quiver_from_json(_load_json(_need(args, "quiver", "poset")))
     dims = _parse_dims(_need(args, "dims", "poset"))
-    ctx = bipartite_double(q) if isinstance(q, TypeAQuiver) else None
-    n = ctx.target.n if ctx else q.n
+    n = bipartite_double(q).target.n
     cells = ((n + 1) * (2 * n + 1)) ** 2
     if cells > args.guard:
         raise GuardExceededError(
             f"bipartite n = {n} gives {cells} weight cells, more than {args.guard}"
         )
-    poset = open_locus_poset(ctx, dims, args.guard) if ctx else build_poset(q, dims, args.guard)
+    poset = build_poset(q, dims, args.guard)
     q, dims = poset.quiver, poset.dims
     report = order_equivalence_report(poset)
     if not report.consistent:
@@ -340,14 +331,13 @@ def cmd_oracle(args) -> int:
     p = args.p
     checks = []
 
-    if isinstance(q, BipartiteQuiver):
-        _check_intervals(q)
-        name, invariant = "rank_array determines orbits", rank_array
+    ctx = bipartite_double(q)
+    _check_intervals(ctx.target)
+    if ctx.source == ctx.target:
+        name = "rank_array determines orbits"
     else:
-        ctx = bipartite_double(q)
-        _check_intervals(ctx.target)
         name = "lifted rank array determines orbits"
-        invariant = partial(rank_array_arbitrary, ctx)
+    invariant = partial(rank_array_arbitrary, ctx)
     census = orbit_partition(q, dims, p, args.guard, args.guard)
     checks.append((name, census.is_partitioned_by(invariant)))
 
@@ -358,7 +348,7 @@ def cmd_oracle(args) -> int:
     if args.format == "json":
         _emit(
             {
-                "census": census.to_json(invariant),
+                "census": serde.census_to_json(census, invariant),
                 "checks": [{"name": name, "pass": ok} for name, ok in checks],
             }
         )

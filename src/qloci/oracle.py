@@ -17,7 +17,6 @@ from .matrices import ExactMatrix
 from .perms import Permutation, inversion_length
 from .quiver import BipartiteQuiver, DimensionVector, check_dims
 from .reps import Representation, rank_array
-from .serde import rank_array_to_json
 
 DEFAULT_POINT_GUARD = 2**20
 DEFAULT_GROUP_GUARD = 2**20
@@ -138,14 +137,6 @@ class OrbitCensus:
     @property
     def sizes(self):
         return tuple(len(o) for o in self.orbits)
-
-    def to_json(self, invariant) -> dict:
-        """Each orbit's size and the rank array ``invariant`` gives its first point."""
-        out = [
-            {"size": len(orbit), "rank_array": rank_array_to_json(invariant(self.points[orbit[0]]))}
-            for orbit in self.orbits
-        ]
-        return {"p": self.p, "orbits": out}
 
     def is_partitioned_by(self, invariant) -> bool:
         """True iff the fibers of ``invariant`` over the points are the orbits."""

@@ -6,7 +6,7 @@ with the reversed Bruhat order on the attached permutations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import GuardExceededError, InternalCheckError
 from .fields import PrimeField, DEFAULT_SAMPLING_PRIME
@@ -15,6 +15,7 @@ from .perms import Permutation, length_from_blocks, packed_rank_tables, zelevins
 from .quiver import (
     BipartiteQuiver,
     DimensionVector,
+    TypeAQuiver,
     check_dims,
     d_x,
     d_y,
@@ -23,6 +24,7 @@ from .quiver import (
     pack_fields,
     unpack_fields,
 )
+from .reduction import bipartite_double, lift_dimension
 from .reps import LaceArray, RankArray, Representation, rank_array
 from .zelevinsky import block_rank_symbolic, layout_for
 
@@ -81,13 +83,13 @@ def _lace_search(table, dims: DimensionVector, guard: int, allowed: int = -1):
     the node is cut.  The search keeps its own stack: per depth the current
     multiplicity and the frontier (the first vertex that may still have
     capacity).  Alongside the tuple it carries the rank array packed by
-    ``table.packed_weights(width)``, with fields wide enough for
+    ``table.packed_weight(j, width)``, with fields wide enough for
     sum(dims), the largest a rank can be: setting interval j to m adds m
     times packed row j, and each step of m down subtracts the row once.
-    Every node visited counts against the guard.
+    An interval over a zero-dimension vertex keeps m = 0, so its row is
+    never packed.  Every node visited counts against the guard.
     """
     width = field_width(sum(dims.values))
-    rows = table.packed_weights(width)
     ivs = table.intervals
     order = sorted(
         (i for i in range(len(table)) if allowed >> i & 1), key=lambda i: (ivs[i].lo, ivs[i].hi)
@@ -95,8 +97,11 @@ def _lace_search(table, dims: DimensionVector, guard: int, allowed: int = -1):
     depth = len(order)
     los = [ivs[i].lo for i in order]
     his = [ivs[i].hi + 1 for i in order]
-    packed_rows = [rows[i] for i in order]
     remaining = list(dims.values)
+    packed_rows = [
+        table.packed_weight(i, width) if min(remaining[lo:hi]) else 0
+        for i, lo, hi in zip(order, los, his)
+    ]
     values = [0] * len(table)
     mults = [0] * depth
     frontiers = [0] * depth
@@ -215,18 +220,51 @@ def hasse(q: BipartiteQuiver, dims: DimensionVector, nodes) -> DegenerationPoset
     return DegenerationPoset(q, dims, nodes, tuple(covers))
 
 
-def build_poset(q: BipartiteQuiver, dims: DimensionVector, guard: int = DEFAULT_LACE_GUARD):
-    """Enumerate the orbits and their covering relations.
+def build_poset(
+    q: BipartiteQuiver | TypeAQuiver, dims: DimensionVector, guard: int = DEFAULT_LACE_GUARD
+) -> DegenerationPoset:
+    """Enumerate the orbits of a type A quiver and their covering relations,
+    on its bipartite double (`reduction.bipartite_double`; a bipartite
+    quiver is its own).
 
-    The guard bounds the d**2 cells of a rank table (`check_table_guard`),
-    the lace-search nodes visited and, before any pair is compared, the N**2
-    node pairs of the Hasse diagram and the order check.
+    The lifts of the source orbits are the orbits of the double whose delta
+    maps are invertible: the rank on each delta edge e's one-arrow interval
+    [e-1, e] is the junction's dimension d_i, which both ends carry.  That
+    rank counts the summands holding both e-1 and e, so it reaches d_i iff
+    no summand ends at e-1 or starts at e (the second follows from the
+    first, since the summands through e-1 then fill e, but forbidding it
+    cuts the search sooner).  The lace search is restricted to the other
+    intervals and finds exactly these orbits; rank >= d_i is
+    upward closed, so they form an upper set of the rank order and their
+    covers are the double's covers between them.  A lifted orbit is the
+    source orbit times a GL(d_i) per junction, so each dimension drops by
+    the sum of d_i**2.  Quiver, dims, rank and lace arrays stay those of the
+    double, whose intervals index the arrays.  With no delta edge nothing is
+    restricted and every orbit of the double is kept as it is.
+
+    The guard bounds the d**2 cells of a rank table (`check_table_guard`, d
+    the lifted total dimension), the lace-search nodes visited and, before
+    any pair is compared, the N**2 node pairs of the Hasse diagram and the
+    order check.
     """
     check_dims(q, dims)
-    check_table_guard(dims, guard)
-    nodes = enumerate_orbits(q, dims, guard)
+    ctx = bipartite_double(q)
+    target, lifted = ctx.target, lift_dimension(ctx, dims)
+    check_table_guard(lifted, guard)
+    edges = ctx.delta_edges.values()
+    allowed = -1
+    if edges:
+        allowed = sum(
+            1 << i
+            for i, (lo, hi) in enumerate(interval_table(target.n).spans)
+            if all(hi != e - 1 and lo != e for e in edges)
+        )
+    nodes = enumerate_orbits(target, lifted, guard, allowed)
+    smooth = sum(dims[i] ** 2 for i in ctx.delta_edges)
+    if smooth:
+        nodes = [replace(node, dimension=node.dimension - smooth) for node in nodes]
     check_pair_guard(nodes, guard)
-    return hasse(q, dims, nodes)
+    return hasse(target, lifted, nodes)
 
 
 def check_table_guard(dims: DimensionVector, guard: int):

@@ -179,7 +179,7 @@ class IntervalTable:
     it.  ``shift_rows`` holds, per arrow interval, the sign and the rank
     slots of the shift formula: J_L, J_R, their meet and their join, each
     clipped by `rank_slot_of_span`.  The weights of the rank formula are
-    packed where they are read, by `packed_weights`.
+    packed row by row where they are read, by `packed_weight`.
     """
 
     def __init__(self, n: int):
@@ -205,23 +205,21 @@ class IntervalTable:
         )
         self._packed = {}
 
-    def packed_weights(self, width: int) -> tuple[int, ...]:
-        """Per interval J', the row of ceil(shared arrows(J, J') / 2) over
-        every interval J, packed by `pack_row` with fields of ``width`` bytes.
+    def packed_weight(self, slot: int, width: int) -> int:
+        """For J' the interval at ``slot``, the row of ceil(shared arrows(J,
+        J') / 2) over every interval J, packed by `pack_row` with fields of
+        ``width`` bytes; each row is packed once per width, when first read.
 
         Adding m times row J' to a packed rank array adds the ranks of m
         copies of the indecomposable on J'; no field carries into the next
         while every value stays below 256**width.
         """
-        out = self._packed.get(width)
-        if out is None:
-            spans = self.spans
-            out = tuple(
-                pack_row([(max(0, min(hi, h) - max(lo, l)) + 1) // 2 for l, h in spans], width)
-                for lo, hi in spans
-            )
-            self._packed[width] = out
-        return out
+        key = slot, width
+        if key not in self._packed:
+            lo, hi = self.spans[slot]
+            weights = [(max(0, min(hi, h) - max(lo, l)) + 1) // 2 for l, h in self.spans]
+            self._packed[key] = pack_row(weights, width)
+        return self._packed[key]
 
     def rank_slot_of_span(self, lo: int, hi: int) -> int:
         """Slot of the span clipped to [0, 2n]; -1 when no arrow is left,

@@ -8,14 +8,17 @@ alternating; padding a zero-dimensional sink onto either end when needed
 puts it in the standard bipartite labeling.  Representations lift by
 placing identities over the new arrows, and project back by composing them
 out; the lift lands in the open locus where every delta map is invertible.
-Both sides use the one ``reps.Representation`` class: only the interval
-calculus, the Zelevinsky map and the degeneration poset need the bipartite
-labeling, and they get it by lifting.
+An alternating orientation has no junction, so a bipartite quiver is its
+own double: its context maps every vertex and arrow to itself, and lifting
+returns the representation unchanged.  Both sides use the one
+``reps.Representation`` class, and the interval calculus, the Zelevinsky
+map and the degeneration poset reach every quiver through its context.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from .errors import (
     FieldMismatchError,
@@ -24,15 +27,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .matrices import ExactMatrix
-from .poset import (
-    DEFAULT_LACE_GUARD,
-    DegenerationPoset,
-    check_pair_guard,
-    check_table_guard,
-    enumerate_orbits,
-    hasse,
-)
-from .quiver import BipartiteQuiver, DimensionVector, TypeAQuiver, interval_table
+from .quiver import BipartiteQuiver, DimensionVector, TypeAQuiver
 from .reps import RankArray, Representation, rank_array
 
 
@@ -43,13 +38,14 @@ class ReductionContext:
     ``vertex_map[i]`` is the position of z_i in the double; ``arrow_map[i-1]``
     the edge carrying gamma_i; ``delta_edges[i]``, when present, the edge of
     the inserted arrow tied to the doubling vertex of z_i.  Padded positions
-    carry dimension zero.
+    carry dimension zero.  A bipartite source is its own target, and its
+    maps are ranges.
     """
 
-    source: TypeAQuiver
+    source: TypeAQuiver | BipartiteQuiver
     target: BipartiteQuiver
-    vertex_map: tuple[int, ...]
-    arrow_map: tuple[int, ...]
+    vertex_map: Sequence[int]
+    arrow_map: Sequence[int]
     doubled_vertex: dict  # junction index i -> position of w_i
     delta_edges: dict  # junction index i -> edge position of delta_i
     junction_kind: dict  # junction index i -> "sink" | "source"
@@ -57,8 +53,13 @@ class ReductionContext:
     pad_right: bool
 
 
-def bipartite_double(q: TypeAQuiver) -> ReductionContext:
-    """Build the bipartite double and the bookkeeping to move across it."""
+def bipartite_double(q: TypeAQuiver | BipartiteQuiver) -> ReductionContext:
+    """Build the bipartite double and the bookkeeping to move across it; a
+    bipartite quiver gets its identity context, in constant time."""
+    if isinstance(q, BipartiteQuiver):
+        return ReductionContext(
+            q, q, range(q.vertex_count), range(1, q.edge_count + 1), {}, {}, {}, False, False
+        )
     word = q.orientation
     n = q.arrow_count
     # walk the path, inserting a doubling vertex before each equioriented junction
@@ -137,15 +138,18 @@ def lift_dimension(ctx: ReductionContext, dims: DimensionVector) -> DimensionVec
 
 def lift_rep(ctx: ReductionContext, v: Representation) -> Representation:
     """Place each original matrix over its image edge and identities over the
-    inserted arrows; the result lies in the open locus by construction."""
+    inserted arrows; the result lies in the open locus by construction.  On
+    an identity context it is v itself."""
     if v.quiver != ctx.source:
         raise InputError("representation does not match the reduction context")
+    if ctx.source == ctx.target:
+        return v
     q = ctx.target
     dims = lift_dimension(ctx, v.dims)
     field = v.field
     mats = [None] * q.edge_count
-    for i in range(1, ctx.source.arrow_count + 1):
-        mats[ctx.arrow_map[i - 1] - 1] = v.arrows[i - 1]
+    for i, e in enumerate(ctx.arrow_map):
+        mats[e - 1] = v.arrows[i]
     for i, e in ctx.delta_edges.items():
         mats[e - 1] = ExactMatrix.identity(field, v.dims[i])
     for k, (h, t) in enumerate(q.arrows):
@@ -180,8 +184,8 @@ def project(ctx: ReductionContext, vt: Representation) -> Representation:
     src = ctx.source
     dims = DimensionVector(tuple(vt.dims[pos] for pos in ctx.vertex_map))
     mats = []
-    for i in range(1, src.arrow_count + 1):
-        g = vt.matrix(ctx.arrow_map[i - 1])
+    for i, e in enumerate(ctx.arrow_map, start=1):
+        g = vt.matrix(e)
         kind = ctx.junction_kind.get(i)
         if kind == "sink":
             mats.append(delta_inv[i].multiply(g))
@@ -203,40 +207,3 @@ def project_group(ctx: ReductionContext, gt):
 def rank_array_arbitrary(ctx: ReductionContext, v: Representation) -> RankArray:
     """Rank array of the lift: a complete orbit invariant for the source."""
     return rank_array(lift_rep(ctx, v))
-
-
-def open_locus_poset(
-    ctx: ReductionContext, dims: DimensionVector, guard: int = DEFAULT_LACE_GUARD
-) -> DegenerationPoset:
-    """Degeneration poset of the source quiver, carried by the double.
-
-    The lifts of the source orbits are the orbits of the double whose delta
-    maps are invertible: the rank on each delta edge e's one-arrow interval
-    [e-1, e] is the junction's dimension d_i, which both ends carry.  That
-    rank counts the summands holding both e-1 and e, so it reaches d_i iff
-    no summand ends at e-1 or starts at e (the second follows from the
-    first, since the summands through e-1 then fill e, but forbidding it
-    cuts the search sooner).  The lace search is restricted to the other
-    intervals and finds exactly these orbits; rank >= d_i is
-    upward closed, so they form an upper set of the rank order and their
-    covers are the double's covers between them.  A lifted orbit is the
-    source orbit times a GL(d_i) per junction, so each dimension drops by
-    the sum of d_i**2.  Quiver, dims, rank and lace arrays stay those of the
-    double, whose intervals index the arrays.  The guard bounds the lifted
-    rank tables, the restricted lace search and the kept nodes' pairs.
-    """
-    q, lifted = ctx.target, lift_dimension(ctx, dims)
-    check_table_guard(lifted, guard)
-    edges = ctx.delta_edges.values()
-    allowed = sum(
-        1 << i
-        for i, j in enumerate(interval_table(q.n).intervals)
-        if all(j.hi != e - 1 and j.lo != e for e in edges)
-    )
-    smooth = sum(dims[i] ** 2 for i in ctx.delta_edges)
-    nodes = [
-        replace(node, dimension=node.dimension - smooth)
-        for node in enumerate_orbits(q, lifted, guard, allowed)
-    ]
-    check_pair_guard(nodes, guard)
-    return hasse(q, lifted, nodes)

@@ -304,7 +304,7 @@ def lace_to_rank(s: LaceArray) -> RankArray:
     """Rank array of a direct sum with the given multiplicities: each summand
     supported on J' contributes ceil(shared arrows(J, J') / 2) to the rank at J.
 
-    The sum runs over packed weight rows (`IntervalTable.packed_weights`),
+    The sum runs over packed weight rows (`IntervalTable.packed_weight`),
     one integer per interval, so each summand type costs one multiply-add.
     The fields are sized from the input: a rank is at most the total
     dimension, itself at most (2n+1) times the sum of the multiplicities.
@@ -315,9 +315,9 @@ def lace_to_rank(s: LaceArray) -> RankArray:
         raise InputError("lace array has a negative multiplicity")
     width = field_width(sum(values) * table.vertex_count)
     packed = 0
-    for m, row in zip(values, table.packed_weights(width)):
+    for i, m in enumerate(values):
         if m:
-            packed += m * row
+            packed += m * table.packed_weight(i, width)
     return RankArray(s.n, unpack_fields(packed, width, len(table)))
 
 

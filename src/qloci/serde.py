@@ -155,6 +155,15 @@ def reduction_context_to_json(ctx: ReductionContext) -> dict:
     }
 
 
+def census_to_json(census, invariant) -> dict:
+    """Each orbit's size and the rank array ``invariant`` gives its first point."""
+    out = [
+        {"size": len(orbit), "rank_array": rank_array_to_json(invariant(census.points[orbit[0]]))}
+        for orbit in census.orbits
+    ]
+    return {"p": census.p, "orbits": out}
+
+
 def poset_to_json(poset) -> dict:
     nodes = []
     for node in poset.nodes:

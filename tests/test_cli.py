@@ -11,6 +11,7 @@ import pytest
 from qloci import DimensionVector, TypeAQuiver
 from qloci.cli import main
 from qloci.oracle import orbit_partition, space_dimension
+from qloci.quiver import interval_table
 
 
 def write(tmp_path, name, payload):
@@ -354,14 +355,26 @@ def test_interval_bound_at_its_edge(tmp_path, capsys, monkeypatch, command):
 
 
 def test_poset_guard_bounds_the_weight_rows(tmp_path, capsys):
-    # the lace search packs a row of weights per interval, whatever the
-    # dims: 6 x 6 cells for bipartite n = 1, 15 x 15 for the double of RR
+    # the lace search may pack a row of weights per interval: 6 x 6 cells
+    # for bipartite n = 1, 15 x 15 for the double of RR
     cases = [({"type": "bipartiteA", "n": 1}, 36), ({"type": "A", "orientation": "RR"}, 225)]
     for quiver, cells in cases:
         argv = ["poset", "--quiver", write(tmp_path, "q.json", quiver), "--dims", "0,0,0"]
         code, out, err = run_main(capsys, argv + ["--guard", str(cells - 1)])
         assert code == 3 and out == "" and f"{cells} weight cells" in err
         assert run_main(capsys, argv + ["--guard", str(cells)])[0] == 0
+
+
+def test_poset_packs_no_weight_row_over_a_zero_dimension(tmp_path, capsys):
+    # bipartite n = 30, dims all 0: none of the 1,891 intervals can hold a
+    # summand, so none of their weight rows is packed (2.7 s when all were)
+    interval_table.cache_clear()
+    quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 30})
+    argv = ["poset", "--quiver", quiver, "--dims", ",".join(["0"] * 61)]
+    start = time.perf_counter()
+    code, out, _ = run_main(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out.startswith("1 orbits, 0 covering relations\n")
 
 
 def test_decompose_builds_no_table_per_interval_pair(tmp_path, capsys):

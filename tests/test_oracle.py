@@ -12,6 +12,7 @@ from qloci import (
     rank_array,
     verify_rank_determines_orbit,
 )
+from qloci import serde
 from qloci.oracle import gl_order, iter_reps, space_dimension
 from qloci.poset import iter_lace_values
 
@@ -123,7 +124,7 @@ def test_census_sizes_sum_to_space_size():
 def test_census_json():
     q = BipartiteQuiver(1)
     census = orbit_partition(q, DimensionVector.of(1, 1, 1), 2)
-    payload = census.to_json(rank_array)
+    payload = serde.census_to_json(census, rank_array)
     assert payload["p"] == 2
     assert len(payload["orbits"]) == 4
     for orbit in payload["orbits"]:

@@ -1,4 +1,4 @@
-"""Package-level checks: stdlib-only imports and a clean export list."""
+"""Package-level checks: stdlib-only imports, the import graph and a clean export list."""
 
 import ast
 import sys
@@ -45,3 +45,27 @@ def test_no_function_imports():
                     if isinstance(sub, (ast.Import, ast.ImportFrom))
                 ]
     assert inside == []
+
+
+def package_imports(module):
+    """The qloci modules that ``module`` imports itself."""
+    out = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module} if node.module else {alias.name for alias in node.names}
+    return out
+
+
+def test_the_oracle_reaches_none_of_the_code_it_checks():
+    # the brute-force oracle validates the rank machinery, the Zelevinsky
+    # route, the poset and the reduction, so it may import none of them
+    reached, todo = set(), ["oracle"]
+    while todo:
+        new = package_imports(todo.pop()) - reached
+        reached |= new
+        todo += new
+    assert "reps" in reached
+    assert reached.isdisjoint({"serde", "poset", "reduction", "zelevinsky"})
+    # the poset reaches any quiver through the reduction, not the reverse
+    assert "poset" not in package_imports("reduction")
+    assert "reduction" in package_imports("poset")

@@ -104,9 +104,9 @@ def test_packed_weights_unpack_to_half_the_shared_arrows(n):
     table = interval_table(n)
     count = len(table)
     for width in (1, 2, 3):
-        rows = table.packed_weights(width)
-        assert rows is table.packed_weights(width)  # packed once per width
-        for a, row in zip(table.intervals, rows):
+        for i, a in enumerate(table.intervals):
+            row = table.packed_weight(i, width)
+            assert row is table.packed_weight(i, width)  # packed once per width
             want = tuple((shared_edges(a, b) + 1) // 2 for b in table.intervals)
             assert unpack_fields(row, width, count) == want
 

@@ -1,9 +1,11 @@
 import random
+import time
 from itertools import product
 
 import pytest
 
 from qloci import (
+    BipartiteQuiver,
     DimensionVector,
     ExactMatrix,
     GF2,
@@ -14,6 +16,9 @@ from qloci import (
     TypeAQuiver,
     act,
     bipartite_double,
+    build_poset,
+    enumerate_orbits,
+    hasse,
     lift_dimension,
     lift_rep,
     project,
@@ -83,6 +88,46 @@ def test_double_of_empty_quiver():
     ctx = bipartite_double(TypeAQuiver(""))
     assert ctx.target.n == 0
     assert len(ctx.delta_edges) == 0
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_bipartite_quiver_is_its_own_double(n):
+    q = BipartiteQuiver(n)
+    ctx = bipartite_double(q)
+    walk = bipartite_double(TypeAQuiver("LR" * n))
+    assert ctx.source == ctx.target == walk.target == q
+    assert tuple(ctx.vertex_map) == walk.vertex_map == tuple(range(2 * n + 1))
+    assert tuple(ctx.arrow_map) == walk.arrow_map == tuple(range(1, 2 * n + 1))
+    for c in (ctx, walk):
+        assert c.doubled_vertex == c.delta_edges == c.junction_kind == {}
+        assert not c.pad_left and not c.pad_right
+
+
+def test_identity_context_is_built_at_once():
+    start = time.perf_counter()
+    ctx = bipartite_double(BipartiteQuiver(10**12))
+    assert time.perf_counter() - start < 0.1
+    assert len(ctx.vertex_map) == 2 * 10**12 + 1 and len(ctx.arrow_map) == 2 * 10**12
+
+
+def test_identity_context_lifts_and_projects_to_itself():
+    q = BipartiteQuiver(2)
+    ctx = bipartite_double(q)
+    d = DimensionVector.of(1, 2, 1, 1, 1)
+    assert lift_dimension(ctx, d) == d
+    for v in iter_reps(q, d, 2):
+        assert lift_rep(ctx, v) is v
+        assert project(ctx, v) == v
+        assert rank_array_arbitrary(ctx, v) == rank_array(v)
+
+
+def test_build_poset_on_a_bipartite_quiver_is_the_plain_hasse_diagram():
+    # no interval is masked and no orbit dimension moves
+    for n in (0, 1, 2):
+        q = BipartiteQuiver(n)
+        for dims in product(range(3), repeat=2 * n + 1):
+            d = DimensionVector(dims)
+            assert build_poset(q, d) == hasse(q, d, enumerate_orbits(q, d))
 
 
 def test_lift_dimension_examples():
@@ -244,11 +289,11 @@ OPEN_LOCUS_CASES = (
 
 @pytest.mark.parametrize("word, dims", OPEN_LOCUS_CASES + selftest_oriented_cases())
 def test_open_locus_search_matches_the_post_filter(word, dims):
-    from qloci import open_locus_poset
+    from qloci import build_poset
 
     ctx = bipartite_double(TypeAQuiver(word))
     d = DimensionVector(dims)
-    got = open_locus_poset(ctx, d, 10**60)
+    got = build_poset(ctx.source, d, 10**60)
     want = post_filter_poset(ctx, d)
     assert (got.quiver, got.dims) == (want.quiver, want.dims)
     assert got.nodes == want.nodes
@@ -258,13 +303,13 @@ def test_open_locus_search_matches_the_post_filter(word, dims):
 def test_open_locus_guard_counts_only_the_restricted_search():
     # RRRR 2^5: the double has 5,875 orbits, found in 48,299 search nodes;
     # the 125 orbits of the open locus take 980 nodes and 15,625 pairs
-    from qloci import GuardExceededError, open_locus_poset
+    from qloci import GuardExceededError, build_poset
 
     ctx = bipartite_double(TypeAQuiver("RRRR"))
     d = DimensionVector.of(2, 2, 2, 2, 2)
-    assert len(open_locus_poset(ctx, d, guard=20_000).nodes) == 125
+    assert len(build_poset(ctx.source, d, guard=20_000).nodes) == 125
     # 980 nodes pass the search, then the pairs exceed that guard
     with pytest.raises(GuardExceededError, match="15625 pairs"):
-        open_locus_poset(ctx, d, guard=980)
+        build_poset(ctx.source, d, guard=980)
     with pytest.raises(GuardExceededError, match="visited more than 979"):
-        open_locus_poset(ctx, d, guard=979)
+        build_poset(ctx.source, d, guard=979)
