@@ -11,7 +11,8 @@ Each command declares only the options it reads:
 The poset guard bounds the ((n+1)(2n+1))**2 cells of the packed weight
 rows (n that of `reduction.bipartite_double`, the quiver itself when it is
 bipartite), the d**2 rank-table cells, the lace-search nodes and the node
-pairs (default ``poset.DEFAULT_LACE_GUARD``); the oracle guard bounds the
+pairs, checked as each orbit is kept (default
+``poset.DEFAULT_LACE_GUARD``); the oracle guard bounds the
 points and the group order (default ``oracle.DEFAULT_POINT_GUARD``).  The
 other bounds are fixed, each checked before the work it bounds:
 

@@ -163,6 +163,11 @@ def enumerate_orbits(
     ``allowed`` is a bitmask over the canonical interval slots: only classes
     whose summands all lie on allowed intervals are enumerated, and the
     guard counts only the nodes of that narrower search.
+
+    The guard bounds both the lace-search nodes visited and the N**2 pairs
+    of the orbits kept (the pairs the Hasse diagram and the order check
+    compare): GuardExceededError is raised as soon as the orbits kept so
+    far give more pairs than the guard, so the node list never outgrows it.
     """
     layout = layout_for(q, dims)
     row_sizes, col_sizes = layout.row_sizes, layout.col_sizes
@@ -183,6 +188,10 @@ def enumerate_orbits(
                 dimension=product - length,
             )
         )
+        if len(nodes) ** 2 > guard:
+            raise GuardExceededError(
+                f"{len(nodes)} orbits give {len(nodes) ** 2} pairs to compare, more than {guard}"
+            )
     nodes.sort(key=lambda node: node.rank.values)
     return nodes
 
@@ -243,9 +252,9 @@ def build_poset(
     restricted and every orbit of the double is kept as it is.
 
     The guard bounds the d**2 cells of a rank table (`check_table_guard`, d
-    the lifted total dimension), the lace-search nodes visited and, before
-    any pair is compared, the N**2 node pairs of the Hasse diagram and the
-    order check.
+    the lifted total dimension), then, in `enumerate_orbits`, the lace-search
+    nodes visited and the N**2 node pairs of the Hasse diagram and the order
+    check, counted as the orbits are kept.
     """
     check_dims(q, dims)
     ctx = bipartite_double(q)
@@ -263,7 +272,6 @@ def build_poset(
     smooth = sum(dims[i] ** 2 for i in ctx.delta_edges)
     if smooth:
         nodes = [replace(node, dimension=node.dimension - smooth) for node in nodes]
-    check_pair_guard(nodes, guard)
     return hasse(target, lifted, nodes)
 
 
@@ -274,16 +282,6 @@ def check_table_guard(dims: DimensionVector, guard: int):
     d = sum(dims.values)
     if d * d > guard:
         raise GuardExceededError(f"dimension {d} gives {d * d} table cells, more than {guard}")
-
-
-def check_pair_guard(nodes, guard: int):
-    """Refuse, before any pair is compared, when the N**2 node pairs of the
-    Hasse diagram and the order check exceed the guard."""
-    pairs = len(nodes) ** 2
-    if pairs > guard:
-        raise GuardExceededError(
-            f"{len(nodes)} orbits give {pairs} pairs to compare, more than {guard}"
-        )
 
 
 def _random_rep(q: BipartiteQuiver, dims: DimensionVector, rng: random.Random) -> Representation:

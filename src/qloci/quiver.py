@@ -52,18 +52,11 @@ class TypeAQuiver:
     def vertex_count(self) -> int:
         return len(self.orientation) + 1
 
-    def head_vertex(self, i: int) -> int:
-        """Index of the vertex arrow gamma_i points into (i is 1-based)."""
-        return i if self.orientation[i - 1] == "R" else i - 1
-
-    def tail_vertex(self, i: int) -> int:
-        return i - 1 if self.orientation[i - 1] == "R" else i
-
     @cached_property
     def arrows(self) -> tuple[tuple[int, int], ...]:
         """(head, tail) vertex indices of gamma_i at index i-1."""
         return tuple(
-            (self.head_vertex(i), self.tail_vertex(i)) for i in range(1, self.arrow_count + 1)
+            (i, i - 1) if c == "R" else (i - 1, i) for i, c in enumerate(self.orientation, 1)
         )
 
     @cached_property
@@ -95,20 +88,11 @@ class BipartiteQuiver:
     def edges(self):
         return range(1, 2 * self.n + 1)
 
-    @staticmethod
-    def head_pos(e: int) -> int:
-        """Position of the head (the y vertex) of edge e."""
-        return e - 1 if e % 2 else e
-
-    @staticmethod
-    def tail_pos(e: int) -> int:
-        """Position of the tail (the x vertex) of edge e."""
-        return e if e % 2 else e - 1
-
     @cached_property
     def arrows(self) -> tuple[tuple[int, int], ...]:
-        """(head, tail) positions of edge e at index e-1."""
-        return tuple((self.head_pos(e), self.tail_pos(e)) for e in self.edges())
+        """(head, tail) positions of edge e at index e-1: the head is the y
+        vertex, e-1 for odd e and e for even e."""
+        return tuple((e - 1, e) if e % 2 else (e, e - 1) for e in self.edges())
 
     @cached_property
     def arrow_names(self) -> tuple[str, ...]:

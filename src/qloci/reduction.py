@@ -1,31 +1,32 @@
 """Reduction of an arbitrarily oriented type A quiver to a bipartite one.
 
 Every run of two equally oriented arrows through an intermediate vertex z_i
-gets a doubling vertex w_i wedged between z_{i-1} and z_i, together with a
-new arrow delta_i joined to z_i: a sink pair when both arrows point away
-from z_0, a source pair when both point toward it.  The doubled path is
-alternating; padding a zero-dimensional sink onto either end when needed
-puts it in the standard bipartite labeling.  Representations lift by
-placing identities over the new arrows, and project back by composing them
-out; the lift lands in the open locus where every delta map is invertible.
-An alternating orientation has no junction, so a bipartite quiver is its
-own double: its context maps every vertex and arrow to itself, and lifting
-returns the representation unchanged.  Both sides use the one
-``reps.Representation`` class, and the interval calculus, the Zelevinsky
-map and the degeneration poset reach every quiver through its context.
+(a junction) gets a doubling vertex w_i wedged between z_{i-1} and z_i,
+together with a new arrow delta_i joined to z_i: a sink pair when both
+arrows point away from z_0, a source pair when both point toward it.  The
+doubled path is alternating; padding a zero-dimensional sink onto either
+end when needed puts it in the standard bipartite labeling.  So the double
+is one vertex map, built by one recurrence: z_0 sits at 1 behind the left
+pad when the first arrow points right, else at 0, and each z_i one step
+past z_{i-1}, two at a junction, where w_i takes the step between.  Every
+other field of the context is read from that map, in this module only.
+Representations lift by placing identities over the new arrows, and
+project back by composing them out; the lift lands in the open locus where
+every delta map is invertible.  An alternating orientation has no
+junction, so a bipartite quiver is its own double: its context maps every
+vertex and arrow to itself, and lifting returns the representation
+unchanged.  Both sides use the one ``reps.Representation`` class, and the
+interval calculus, the Zelevinsky map and the degeneration poset reach
+every quiver through its context.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import (
-    FieldMismatchError,
-    InputError,
-    NotInOpenLocusError,
-    SingularMatrixError,
-)
+from .errors import InputError, NotInOpenLocusError, SingularMatrixError
 from .matrices import ExactMatrix
 from .quiver import BipartiteQuiver, DimensionVector, TypeAQuiver
 from .reps import RankArray, Representation, rank_array
@@ -35,93 +36,64 @@ from .reps import RankArray, Representation, rank_array
 class ReductionContext:
     """Correspondence between an oriented path quiver and its bipartite double.
 
-    ``vertex_map[i]`` is the position of z_i in the double; ``arrow_map[i-1]``
-    the edge carrying gamma_i; ``delta_edges[i]``, when present, the edge of
-    the inserted arrow tied to the doubling vertex of z_i.  Padded positions
-    carry dimension zero.  A bipartite source is its own target, and its
-    maps are ranges.
+    ``vertex_map[i]`` is the position of z_i in the double, by the recurrence
+    ``vertex_map[0] = 1`` iff the first arrow is R (the left pad) and
+    ``vertex_map[i] = vertex_map[i-1] + 1 + [word[i-1] == word[i]]``, which
+    puts w_i just before each junction z_i; ``arrow_map[i-1] =
+    vertex_map[i-1] + 1`` is the edge carrying gamma_i.  The rest is read
+    from these: w_i sits at ``doubled_vertex[i] = vertex_map[i] - 1``, delta_i
+    is the edge ``delta_edges[i] = vertex_map[i]`` between w_i and z_i, and
+    w_i is a sink iff gamma_i points right.  Padded positions carry dimension
+    zero.  A bipartite source is its own target, its maps are ranges and it
+    has no junction.
     """
 
     source: TypeAQuiver | BipartiteQuiver
     target: BipartiteQuiver
     vertex_map: Sequence[int]
     arrow_map: Sequence[int]
-    doubled_vertex: dict  # junction index i -> position of w_i
-    delta_edges: dict  # junction index i -> edge position of delta_i
-    junction_kind: dict  # junction index i -> "sink" | "source"
-    pad_left: bool
-    pad_right: bool
+    junctions: tuple[int, ...]  # the i with word[i-1] == word[i]
+
+    @cached_property
+    def doubled_vertex(self) -> dict:
+        """Junction index i -> position of w_i."""
+        return {i: self.vertex_map[i] - 1 for i in self.junctions}
+
+    @cached_property
+    def delta_edges(self) -> dict:
+        """Junction index i -> edge position of delta_i."""
+        return {i: self.vertex_map[i] for i in self.junctions}
+
+    @cached_property
+    def junction_kind(self) -> dict:
+        """Junction index i -> "sink" | "source", the kind of w_i."""
+        return {
+            i: "sink" if self.source.orientation[i - 1] == "R" else "source"
+            for i in self.junctions
+        }
+
+    @property
+    def pad_left(self) -> bool:
+        return self.vertex_map[0] == 1
+
+    @property
+    def pad_right(self) -> bool:
+        return self.vertex_map[-1] == self.target.vertex_count - 2
 
 
 def bipartite_double(q: TypeAQuiver | BipartiteQuiver) -> ReductionContext:
     """Build the bipartite double and the bookkeeping to move across it; a
     bipartite quiver gets its identity context, in constant time."""
     if isinstance(q, BipartiteQuiver):
-        return ReductionContext(
-            q, q, range(q.vertex_count), range(1, q.edge_count + 1), {}, {}, {}, False, False
-        )
+        return ReductionContext(q, q, range(q.vertex_count), range(1, q.edge_count + 1), ())
     word = q.orientation
-    n = q.arrow_count
-    # walk the path, inserting a doubling vertex before each equioriented junction
-    labels = [("z", 0)]
-    segments = []  # (direction, kind, payload) per edge of the doubled path
-    for i in range(1, n + 1):
-        junction = i < n and word[i - 1] == word[i]
-        if junction:
-            labels.append(("w", i))
-            segments.append((word[i - 1], "gamma", i))
-            delta_dir = "L" if word[i - 1] == "R" else "R"
-            segments.append((delta_dir, "delta", i))
-            labels.append(("z", i))
-        else:
-            segments.append((word[i - 1], "gamma", i))
-            labels.append(("z", i))
-    # normalize: the alternating word must read LRLR...; pad zero sinks as needed
-    pad_left = bool(segments) and segments[0][0] == "R"
-    pad_right = bool(segments) and segments[-1][0] == "L"
-    if not segments:
-        pad_left = pad_right = False
-    if pad_left:
-        labels.insert(0, ("pad", -1))
-        segments.insert(0, ("L", "pad", -1))
-    if pad_right:
-        labels.append(("pad", -2))
-        segments.append(("R", "pad", -2))
-    count = len(labels)
-    if count % 2 == 0:
-        raise InputError("doubled path failed to normalize")  # unreachable
-    target = BipartiteQuiver((count - 1) // 2)
-    for pos, (dirn, _, _) in enumerate(segments):
-        want = "L" if pos % 2 == 0 else "R"
-        if dirn != want:
-            raise InputError("doubled path is not alternating")  # unreachable
-    vertex_map = [0] * q.vertex_count
-    doubled_vertex = {}
-    for pos, (kind, i) in enumerate(labels):
-        if kind == "z":
-            vertex_map[i] = pos
-        elif kind == "w":
-            doubled_vertex[i] = pos
-    arrow_map = [0] * n
-    delta_edges = {}
-    junction_kind = {}
-    for pos, (dirn, kind, i) in enumerate(segments, start=1):
-        if kind == "gamma":
-            arrow_map[i - 1] = pos
-        elif kind == "delta":
-            delta_edges[i] = pos
-            junction_kind[i] = "sink" if dirn == "L" else "source"
-    return ReductionContext(
-        source=q,
-        target=target,
-        vertex_map=tuple(vertex_map),
-        arrow_map=tuple(arrow_map),
-        doubled_vertex=doubled_vertex,
-        delta_edges=delta_edges,
-        junction_kind=junction_kind,
-        pad_left=pad_left,
-        pad_right=pad_right,
-    )
+    junctions = tuple(i for i in range(1, len(word)) if word[i - 1] == word[i])
+    vertex_map = [int(word[:1] == "R")]
+    for i in range(1, q.vertex_count):  # word[n : n + 1] is empty: z_n is no junction
+        vertex_map.append(vertex_map[-1] + 1 + (word[i - 1] == word[i : i + 1]))
+    n = (vertex_map[-1] + (word[-1:] == "L")) // 2
+    arrow_map = tuple(pos + 1 for pos in vertex_map[:-1])
+    return ReductionContext(q, BipartiteQuiver(n), tuple(vertex_map), arrow_map, junctions)
 
 
 def lift_dimension(ctx: ReductionContext, dims: DimensionVector) -> DimensionVector:
@@ -171,7 +143,6 @@ def project(ctx: ReductionContext, vt: Representation) -> Representation:
     arrow becomes delta^-1 * gamma, over a source junction gamma * delta^-1."""
     if vt.quiver != ctx.target:
         raise InputError("representation does not match the reduction context")
-    field = vt.field
     delta_inv = {}
     for i, e in ctx.delta_edges.items():
         m = vt.matrix(e)
@@ -181,7 +152,6 @@ def project(ctx: ReductionContext, vt: Representation) -> Representation:
             delta_inv[i] = m.inverse()
         except SingularMatrixError as exc:
             raise NotInOpenLocusError(f"delta map at junction {i} is singular") from exc
-    src = ctx.source
     dims = DimensionVector(tuple(vt.dims[pos] for pos in ctx.vertex_map))
     mats = []
     for i, e in enumerate(ctx.arrow_map, start=1):
@@ -193,10 +163,7 @@ def project(ctx: ReductionContext, vt: Representation) -> Representation:
             mats.append(g.multiply(delta_inv[i]))
         else:
             mats.append(g)
-    out = Representation(src, dims, tuple(mats))
-    if out.field != field and out.arrows:
-        raise FieldMismatchError("projection changed fields")  # unreachable
-    return out
+    return Representation(ctx.source, dims, tuple(mats))
 
 
 def project_group(ctx: ReductionContext, gt):

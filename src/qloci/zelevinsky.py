@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 from .errors import InputError, ShapeError
 from .matrices import ExactMatrix, prefix_block_ranks
@@ -200,18 +201,19 @@ def block_rank_numeric(z: ZelevinskyCellMatrix) -> BlockRankMatrix:
     return BlockRankMatrix(lay.n, grid)
 
 
-def _block_formula(n: int, dims: DimensionVector, i: int, j: int):
+def _block_formula(n: int, i: int, j: int):
     """Closed form for block (i, j): an offset plus the rank of one interval.
 
     Identity blocks present in the northwest-justified submatrix pivot away
-    whole block rows/columns and contribute the offset; what remains of the
-    snake is the staircase matrix of a single interval, returned as a vertex
-    span (empty when lo > hi).  Specializing over the four quadrants gives
-    the forced cell values, the forced image values, and the four orbit
-    families with their dimension offsets.
+    whole block rows/columns and contribute the offset, the dimensions of
+    x_kx..x_n and of y_0..y_my; what remains of the snake is the staircase
+    matrix of a single interval, returned as an edge span (empty when
+    lo > hi).  Specializing over the four quadrants gives the forced cell
+    values, the forced image values, and the four orbit families with their
+    dimension offsets.
 
-    Neither part depends on the orbit, only on (n, dims): `_block_plan`
-    evaluates this once per block and dimension vector.
+    Nothing here depends on the orbit or the dimensions, only on n:
+    `_block_plan` reads each offset from prefix sums of the dimensions.
     """
     # rows present: y_0..y_ytop, and x_k for k >= xlow (xlow = n+1 means none)
     if i <= n + 1:
@@ -224,14 +226,12 @@ def _block_formula(n: int, dims: DimensionVector, i: int, j: int):
     else:
         xcollow, ycoltop = 1, j - n - 1
     kx = max(xlow, xcollow)
-    offset = sum(dims[2 * k - 1] for k in range(kx, n + 1))
     my = min(ytop, ycoltop)
-    offset += sum(dims[2 * k] for k in range(0, my + 1))
     rlo, rhi = my + 1, ytop
     clo, chi = xcollow, kx - 1
     edge_lo = max(2 * rlo, 2 * clo - 1)
     edge_hi = min(2 * rhi + 1, 2 * chi)
-    return offset, edge_lo, edge_hi
+    return kx, my, edge_lo, edge_hi
 
 
 @lru_cache(maxsize=1)
@@ -239,17 +239,22 @@ def _block_plan(n: int, dims: DimensionVector) -> tuple[tuple[tuple[int, int], .
     """The block plan: `_block_formula` for every block, as a (2n+1) x (2n+1)
     table of (offset, rank slot) pairs.
 
-    The slot indexes the rank array; -1 means the interval is empty and its
-    rank is forced to 0.  Only the latest (n, dims) is kept, since callers
-    sweep the orbits of one dimension vector at a time.
+    Each offset is read from prefix sums of the x and y dimensions, so the
+    plan costs O(n**2).  The slot indexes the rank array; -1 means the
+    interval is empty and its rank is forced to 0.  Only the latest
+    (n, dims) is kept, since callers sweep the orbits of one dimension
+    vector at a time.
     """
     table = interval_table(n)
+    xs = list(accumulate(dims.values[1::2], initial=0))  # xs[k]: x_1..x_k
+    ys = list(accumulate(dims.values[0::2], initial=0))  # ys[m]: y_0..y_{m-1}
     k = 2 * n + 1
     plan = []
     for i in range(1, k + 1):
         row = []
         for j in range(1, k + 1):
-            offset, elo, ehi = _block_formula(n, dims, i, j)
+            kx, my, elo, ehi = _block_formula(n, i, j)
+            offset = xs[n] - xs[kx - 1] + ys[my + 1]
             row.append((offset, table.rank_slot_of_span(elo - 1, ehi)))
         plan.append(tuple(row))
     return tuple(plan)

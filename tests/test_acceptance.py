@@ -229,7 +229,7 @@ def test_criterion_8_orientation_reduction():
     for _ in range(100):
         mats = []
         for i in range(1, 5):
-            h, t = q.head_vertex(i), q.tail_vertex(i)
+            h, t = q.arrows[i - 1]
             mats.append(
                 ExactMatrix(
                     GF3,

@@ -194,14 +194,27 @@ def test_poset_guard_bounds_node_pairs(tmp_path, capsys):
     # which leave 435,600 pairs for the Hasse diagram and the order check
     quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 2})
     argv = ["poset", "--quiver", quiver, "--dims", "3,3,3,3,3", "--format", "json"]
-    code, _, err = run_main(capsys, argv + ["--guard", "100000"])
+    code, _, err = run_main(capsys, argv + ["--guard", "435599"])
     assert code == 3
     assert "435600 pairs" in err
-    code, out, _ = run_main(capsys, argv + ["--guard", "500000"])
+    code, out, _ = run_main(capsys, argv + ["--guard", "435600"])
     assert code == 0
     payload = json.loads(out)
     assert len(payload["nodes"]) == 660
     assert payload["order_equivalence"] == {"pairs_checked": 435600, "consistent": True}
+
+
+def test_poset_pair_guard_refuses_as_the_orbits_are_kept(tmp_path, capsys):
+    # bipartite n=9, dims all 1: 262,144 orbits; the default guard admits
+    # 3,162 orbits, so the search stops at the next one instead of building
+    # every node first
+    quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 9})
+    start = time.perf_counter()
+    argv = ["poset", "--quiver", quiver, "--dims", ",".join(["1"] * 19)]
+    code, out, err = run_main(capsys, argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 3 and out == ""
+    assert "3163 orbits give 10004569 pairs" in err
 
 
 @pytest.mark.parametrize(

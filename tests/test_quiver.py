@@ -129,8 +129,8 @@ def test_interval_table_shift_rows_signs():
 def test_type_a_quiver():
     q = TypeAQuiver("RRLL")
     assert q.vertex_count == 5
-    assert q.head_vertex(1) == 1 and q.tail_vertex(1) == 0
-    assert q.head_vertex(3) == 2 and q.tail_vertex(3) == 3
+    assert q.arrows[0] == (1, 0)
+    assert q.arrows[2] == (2, 3)
     with pytest.raises(InputError):
         TypeAQuiver("RX")
 

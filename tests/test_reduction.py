@@ -39,8 +39,7 @@ def random_typea_rep(q, dims, p, rng):
 
     field = PrimeField(p)
     mats = []
-    for i in range(1, q.arrow_count + 1):
-        h, t = q.head_vertex(i), q.tail_vertex(i)
+    for h, t in q.arrows:
         mats.append(
             ExactMatrix(
                 field,
@@ -98,9 +97,44 @@ def test_bipartite_quiver_is_its_own_double(n):
     assert ctx.source == ctx.target == walk.target == q
     assert tuple(ctx.vertex_map) == walk.vertex_map == tuple(range(2 * n + 1))
     assert tuple(ctx.arrow_map) == walk.arrow_map == tuple(range(1, 2 * n + 1))
+    assert q.arrows == walk.source.arrows
     for c in (ctx, walk):
         assert c.doubled_vertex == c.delta_edges == c.junction_kind == {}
         assert not c.pad_left and not c.pad_right
+
+
+@pytest.mark.parametrize("length", range(11))
+def test_the_double_follows_the_construction(length):
+    # every word of the given length, checked edge by edge against the
+    # construction: w_i before each junction z_i, delta_i between them,
+    # zero sinks padding the ends
+    for letters in product("LR", repeat=length):
+        word = "".join(letters)
+        q = TypeAQuiver(word)
+        ctx = bipartite_double(q)
+        t, z, w = ctx.target, ctx.vertex_map, ctx.doubled_vertex
+        junctions = {i for i in range(1, length) if word[i - 1] == word[i]}
+        assert set(w) == set(ctx.delta_edges) == set(ctx.junction_kind) == junctions
+        assert len(set(z) | set(w.values())) == len(z) + len(w)
+        for i, ((h, tail), e) in enumerate(zip(q.arrows, ctx.arrow_map), start=1):
+            # gamma_i runs from the image of z_{i-1} to w_i at a junction
+            image = {i - 1: z[i - 1], i: w.get(i, z[i])}
+            assert t.arrows[e - 1] == (image[h], image[tail])
+        for i, e in ctx.delta_edges.items():
+            into_w = ctx.junction_kind[i] == "sink"
+            assert t.arrows[e - 1] == ((w[i], z[i]) if into_w else (z[i], w[i]))
+            assert into_w == (word[i - 1] == "R")
+        pads = set(t.positions()) - set(z) - set(w.values())
+        assert (ctx.pad_left, ctx.pad_right) == (0 in pads, 2 * t.n in pads)
+        assert pads <= {0, 2 * t.n}
+        used = set(ctx.arrow_map) | set(ctx.delta_edges.values())
+        assert len(used) == length + len(junctions)
+        for e in set(t.edges()) - used:
+            assert pads & set(t.arrows[e - 1])
+        lifted = lift_dimension(ctx, DimensionVector(tuple(range(1, length + 2))))
+        assert [lifted[p] for p in z] == list(range(1, length + 2))
+        assert all(lifted[w[i]] == i + 1 for i in junctions)
+        assert all(lifted[p] == 0 for p in pads)
 
 
 def test_identity_context_is_built_at_once():
@@ -308,8 +342,12 @@ def test_open_locus_guard_counts_only_the_restricted_search():
     ctx = bipartite_double(TypeAQuiver("RRRR"))
     d = DimensionVector.of(2, 2, 2, 2, 2)
     assert len(build_poset(ctx.source, d, guard=20_000).nodes) == 125
-    # 980 nodes pass the search, then the pairs exceed that guard
-    with pytest.raises(GuardExceededError, match="15625 pairs"):
-        build_poset(ctx.source, d, guard=980)
-    with pytest.raises(GuardExceededError, match="visited more than 979"):
-        build_poset(ctx.source, d, guard=979)
+    # the 980 nodes pass that guard, and the pairs exceed it at the last orbit kept
+    with pytest.raises(GuardExceededError, match="125 orbits give 15625 pairs"):
+        build_poset(ctx.source, d, guard=15_624)
+    # RRRR 1^5: the open locus's 16 orbits take 153 nodes, and under a guard
+    # of 92 the 93rd node comes before the 10th orbit
+    d = DimensionVector.of(1, 1, 1, 1, 1)
+    assert len(build_poset(ctx.source, d, guard=256).nodes) == 16
+    with pytest.raises(GuardExceededError, match="visited more than 92"):
+        build_poset(ctx.source, d, guard=92)

@@ -195,8 +195,8 @@ def test_cell_matrix_validation():
 
 def random_gf2_rep(q, d, rng):
     mats = []
-    for e in q.edges():
-        rows, cols = d[q.head_pos(e)], d[q.tail_pos(e)]
+    for h, t in q.arrows:
+        rows, cols = d[h], d[t]
         mats.append(
             ExactMatrix.from_rows(GF2, [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)])
             if rows and cols
@@ -228,7 +228,9 @@ def test_block_plan_cache_switches_dims():
             for i in range(1, k + 1):
                 row = []
                 for j in range(1, k + 1):
-                    offset, elo, ehi = _block_formula(n, d, i, j)
+                    kx, my, elo, ehi = _block_formula(n, i, j)
+                    offset = sum(d[2 * x - 1] for x in range(kx, n + 1))
+                    offset += sum(d[2 * y] for y in range(my + 1))
                     slot = table.rank_slot_of_span(elo - 1, ehi)
                     row.append(offset + (r.values[slot] if slot >= 0 else 0))
                 want.append(tuple(row))
