@@ -3,25 +3,25 @@
 Each command declares only the options it reads:
 
     decompose   --rep F [--format json|text]
-    zelevinsky  --rep F [--format json|text] [--reduce]
+    zelevinsky  --rep F [--format json|text]
     poset       --quiver F --dims CSV [--format json|dot|text] [--seed S] [--guard N]
     reduce      --quiver F [--dims CSV] [--format json|text]
     oracle      --quiver F --dims CSV [--p P] [--format json|text] [--guard N]
 
-The poset guard bounds the ((n+1)(2n+1))**2 cells of the packed weight
-rows (n that of `reduction.bipartite_double`, the quiver itself when it is
-bipartite), the d**2 rank-table cells, the lace-search nodes and the node
-pairs, checked as each orbit is kept (default
-``poset.DEFAULT_LACE_GUARD``); the oracle guard bounds the
-points and the group order (default ``oracle.DEFAULT_POINT_GUARD``).  The
-other bounds are fixed, each checked before the work it bounds:
+The poset guard (default ``poset.DEFAULT_LACE_GUARD``) is one budget, and
+each meter charges it with the work its own code does, before doing it:
+the lace search its packed weight rows and visited nodes, `build_poset`
+the node pairs and rank tables of each orbit it keeps.  The oracle guard
+bounds the points and the group order (default
+``oracle.DEFAULT_POINT_GUARD``).  The other bounds are fixed, each checked
+before the work it bounds:
 
     decompose, zelevinsky   sum(d(head) * d(tail)) over the arrows plus the
-                            total dimension d <= poset.DEFAULT_LACE_GUARD
+                            total dimension d <= serde.MAX_MATRIX_CELLS
     decompose, zelevinsky,  the (n+1)(2n+1) intervals of the bipartite
-    oracle                  quiver, or of its double, <= MAX_INTERVALS
-    zelevinsky              d**2 <= MAX_CELL_ENTRIES for its d x d cell (the
-                            lifted d under --reduce)
+    poset, oracle           quiver, or of its double, <= MAX_INTERVALS
+    zelevinsky              d**2 <= MAX_CELL_ENTRIES for its d x d cell (d
+                            of the double)
     reduce                  bipartite n <= MAX_REDUCE_N
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 guard
@@ -46,7 +46,6 @@ from .perms import essential_set, inversion_length, zelevinsky_permutation
 from .poset import (
     DEFAULT_LACE_GUARD,
     build_poset,
-    check_table_guard,
     dense_orbit,
     order_equivalence_report,
     poset_to_dot,
@@ -60,7 +59,7 @@ from . import serde
 # Largest bipartite n that `reduce` accepts: it writes out the whole double,
 # and n = 10**5 takes about 1 s and 170 MB.
 MAX_REDUCE_N = 10**5
-# Most intervals (n+1)(2n+1) that `decompose`, `zelevinsky` and `oracle`
+# Most intervals (n+1)(2n+1) that `decompose`, `zelevinsky`, `poset` and `oracle`
 # accept: n <= 222, where zero dims take up to 4 s (zelevinsky) on 2 vCPUs.
 MAX_INTERVALS = 10**5
 # Most entries of the d x d cell `zelevinsky` builds: d = 1000 takes about
@@ -79,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rep": dict(metavar="F", help="path to a representation JSON file"),
         "--dims": dict(metavar="CSV", help="comma-separated dimension vector"),
         "--p": dict(type=int, default=2, help="prime for Fp"),
-        "--reduce": dict(action="store_true", help="lift non-bipartite input first"),
         "--seed": dict(type=int, default=0),
     }
 
@@ -88,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("decompose", "Krull-Schmidt multiplicities and rank array of a representation",
          ["--rep"], text, None),
         ("zelevinsky", "embedded matrix, block ranks, permutation, essential set, dimension",
-         ["--rep", "--reduce"], text, None),
+         ["--rep"], text, None),
         ("poset", "degeneration poset for a quiver and dimension vector",
          ["--quiver", "--dims", "--seed"], ("json", "dot", "text"), DEFAULT_LACE_GUARD),
         ("reduce", "bipartite double of an arbitrarily oriented quiver",
@@ -215,10 +213,12 @@ def cmd_decompose(args) -> int:
 def cmd_zelevinsky(args) -> int:
     rep = serde.rep_from_json(_load_json(_need(args, "rep", "zelevinsky")))
     ctx = bipartite_double(rep.quiver)
-    if ctx.source != ctx.target and not args.reduce:
-        raise InputError("input is not bipartite; pass --reduce to lift it")
     _check_intervals(ctx.target)
-    check_table_guard(lift_dimension(ctx, rep.dims), MAX_CELL_ENTRIES)
+    d = sum(lift_dimension(ctx, rep.dims).values)
+    if d * d > MAX_CELL_ENTRIES:
+        raise GuardExceededError(
+            f"dimension {d} gives {d * d} table cells, more than {MAX_CELL_ENTRIES}"
+        )
     rep = lift_rep(ctx, rep)
     z = zelevinsky_map(rep)
     layout = z.layout
@@ -257,18 +257,13 @@ def cmd_poset(args) -> int:
     and only the double's orbits in the open locus are kept (`build_poset`):
     one node per orbit of the given quiver, with that orbit's dimension.
     The output's quiver and dims stay those of the double, because the rank
-    and lace arrays are indexed by its intervals.  The guard first bounds
-    the cells of the packed weight rows, the squared interval count of the
-    double.
+    and lace arrays are indexed by its intervals.  The double's intervals
+    are bounded by MAX_INTERVALS, and the work of `build_poset` by the
+    guard.
     """
     q = serde.quiver_from_json(_load_json(_need(args, "quiver", "poset")))
     dims = _parse_dims(_need(args, "dims", "poset"))
-    n = bipartite_double(q).target.n
-    cells = ((n + 1) * (2 * n + 1)) ** 2
-    if cells > args.guard:
-        raise GuardExceededError(
-            f"bipartite n = {n} gives {cells} weight cells, more than {args.guard}"
-        )
+    _check_intervals(bipartite_double(q).target)
     poset = build_poset(q, dims, args.guard)
     q, dims = poset.quiver, poset.dims
     report = order_equivalence_report(poset)

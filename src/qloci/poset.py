@@ -6,7 +6,7 @@ with the reversed Bruhat order on the attached permutations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import GuardExceededError, InternalCheckError
 from .fields import PrimeField, DEFAULT_SAMPLING_PRIME
@@ -61,9 +61,9 @@ class DegenerationPoset:
 def iter_lace_values(q: BipartiteQuiver, dims: DimensionVector, guard: int = DEFAULT_LACE_GUARD):
     """Yield every multiplicity tuple with the prescribed per-vertex totals.
 
-    The tuples come in the order of `_lace_search`, which also counts the
-    search nodes against the guard: GuardExceededError is raised as soon as
-    the count of visited nodes passes it.
+    The tuples come in the order of `_lace_search`, which also meters the
+    search against the guard: GuardExceededError is raised as soon as its
+    packed weight cells and visited nodes pass it.
     """
     check_dims(q, dims)
     for values, _, _ in _lace_search(interval_table(q.n), dims, guard):
@@ -87,7 +87,9 @@ def _lace_search(table, dims: DimensionVector, guard: int, allowed: int = -1):
     sum(dims), the largest a rank can be: setting interval j to m adds m
     times packed row j, and each step of m down subtracts the row once.
     An interval over a zero-dimension vertex keeps m = 0, so its row is
-    never packed.  Every node visited counts against the guard.
+    never packed.  One counter meters the search against the guard: the
+    weight cells of the rows it packs (a field per interval of the table
+    each), charged before any row is packed, then every node visited.
     """
     width = field_width(sum(dims.values))
     ivs = table.intervals
@@ -98,20 +100,24 @@ def _lace_search(table, dims: DimensionVector, guard: int, allowed: int = -1):
     los = [ivs[i].lo for i in order]
     his = [ivs[i].hi + 1 for i in order]
     remaining = list(dims.values)
-    packed_rows = [
-        table.packed_weight(i, width) if min(remaining[lo:hi]) else 0
-        for i, lo, hi in zip(order, los, his)
-    ]
+    live = [min(remaining[lo:hi]) > 0 for lo, hi in zip(los, his)]
+    cells = sum(live) * len(table)
+    if cells > guard:
+        raise GuardExceededError(f"lace search packs {cells} weight cells, more than {guard}")
+    packed_rows = [table.packed_weight(i, width) if ok else 0 for i, ok in zip(order, live)]
     values = [0] * len(table)
     mults = [0] * depth
     frontiers = [0] * depth
     packed = 0
-    visited = 0
+    spent = cells
     k = f = 0  # the node to visit: its depth and its frontier
     while True:
-        visited += 1
-        if visited > guard:
-            raise GuardExceededError(f"lace search visited more than {guard} nodes")
+        spent += 1
+        if spent > guard:
+            raise GuardExceededError(
+                f"lace search packs {cells} weight cells and visits {spent - cells} nodes,"
+                f" more than {guard}"
+            )
         if k == depth:
             if not any(remaining[f:]):
                 yield tuple(values), packed, width
@@ -149,49 +155,44 @@ def _lace_search(table, dims: DimensionVector, guard: int, allowed: int = -1):
         k += 1
 
 
-def enumerate_orbits(
-    q: BipartiteQuiver,
-    dims: DimensionVector,
-    guard: int = DEFAULT_LACE_GUARD,
-    allowed: int = -1,
-) -> list[OrbitNode]:
-    """One node per isomorphism class with the given dimension vector.
-
-    Classes are enumerated through their multiplicity arrays, so the list is
-    complete and exact; the lace search hands over each rank array packed,
-    and permutations and dimensions follow by the symbolic pipeline.
-    ``allowed`` is a bitmask over the canonical interval slots: only classes
-    whose summands all lie on allowed intervals are enumerated, and the
-    guard counts only the nodes of that narrower search.
-
-    The guard bounds both the lace-search nodes visited and the N**2 pairs
-    of the orbits kept (the pairs the Hasse diagram and the order check
-    compare): GuardExceededError is raised as soon as the orbits kept so
-    far give more pairs than the guard, so the node list never outgrows it.
-    """
+def _node_factory(q: BipartiteQuiver, dims: DimensionVector, smooth: int = 0):
+    """The function that turns one triple of `_lace_search` into its
+    OrbitNode; permutation and dimension follow by the symbolic pipeline,
+    the dimension less ``smooth``."""
     layout = layout_for(q, dims)
     row_sizes, col_sizes = layout.row_sizes, layout.col_sizes
-    table = interval_table(q.n)
-    count = len(table)
-    product = d_x(dims) * d_y(dims)
-    nodes = []
-    for values, packed, width in _lace_search(table, dims, guard, allowed):
+    count = len(interval_table(q.n))
+    top = d_x(dims) * d_y(dims) - smooth
+
+    def node(values, packed, width) -> OrbitNode:
         r = RankArray(q.n, unpack_fields(packed, width, count))
         b = block_rank_symbolic(r, dims)
         length = length_from_blocks(b)
-        nodes.append(
-            OrbitNode(
-                rank=r,
-                lace=LaceArray(q.n, values),
-                permutation=zelevinsky_permutation(b, row_sizes, col_sizes),
-                length=length,
-                dimension=product - length,
-            )
+        return OrbitNode(
+            rank=r,
+            lace=LaceArray(q.n, values),
+            permutation=zelevinsky_permutation(b, row_sizes, col_sizes),
+            length=length,
+            dimension=top - length,
         )
-        if len(nodes) ** 2 > guard:
-            raise GuardExceededError(
-                f"{len(nodes)} orbits give {len(nodes) ** 2} pairs to compare, more than {guard}"
-            )
+
+    return node
+
+
+def enumerate_orbits(
+    q: BipartiteQuiver, dims: DimensionVector, guard: int = DEFAULT_LACE_GUARD
+) -> list[OrbitNode]:
+    """One node per isomorphism class with the given dimension vector,
+    sorted by rank array.
+
+    Classes are enumerated through their multiplicity arrays, so the list is
+    complete and exact; the lace search hands over each rank array packed,
+    and permutations and dimensions follow by the symbolic pipeline.  The
+    guard meters the lace search alone (`_lace_search`): the nodes are not
+    compared here, so their pairs are not charged.
+    """
+    node = _node_factory(q, dims)
+    nodes = [node(*found) for found in _lace_search(interval_table(q.n), dims, guard)]
     nodes.sort(key=lambda node: node.rank.values)
     return nodes
 
@@ -251,37 +252,36 @@ def build_poset(
     double, whose intervals index the arrays.  With no delta edge nothing is
     restricted and every orbit of the double is kept as it is.
 
-    The guard bounds the d**2 cells of a rank table (`check_table_guard`, d
-    the lifted total dimension), then, in `enumerate_orbits`, the lace-search
-    nodes visited and the N**2 node pairs of the Hasse diagram and the order
-    check, counted as the orbits are kept.
+    The guard meters the lace search, then, as each orbit is kept and
+    before its node is built, the N**2 node pairs and N d x d rank tables
+    (d the lifted total dimension) that `hasse` and
+    `order_equivalence_report` spend on the N orbits kept so far.
     """
     check_dims(q, dims)
     ctx = bipartite_double(q)
     target, lifted = ctx.target, lift_dimension(ctx, dims)
-    check_table_guard(lifted, guard)
+    table = interval_table(target.n)
     edges = ctx.delta_edges.values()
     allowed = -1
     if edges:
         allowed = sum(
             1 << i
-            for i, (lo, hi) in enumerate(interval_table(target.n).spans)
+            for i, (lo, hi) in enumerate(table.spans)
             if all(hi != e - 1 and lo != e for e in edges)
         )
-    nodes = enumerate_orbits(target, lifted, guard, allowed)
-    smooth = sum(dims[i] ** 2 for i in ctx.delta_edges)
-    if smooth:
-        nodes = [replace(node, dimension=node.dimension - smooth) for node in nodes]
+    node = _node_factory(target, lifted, sum(dims[i] ** 2 for i in ctx.delta_edges))
+    table_cells = sum(lifted.values) ** 2
+    nodes = []
+    for found in _lace_search(table, lifted, guard, allowed):
+        count = len(nodes) + 1
+        if count * (count + table_cells) > guard:
+            raise GuardExceededError(
+                f"{count} orbits give {count * count} pairs and {count * table_cells}"
+                f" rank-table cells, more than {guard}"
+            )
+        nodes.append(node(*found))
+    nodes.sort(key=lambda node: node.rank.values)
     return hasse(target, lifted, nodes)
-
-
-def check_table_guard(dims: DimensionVector, guard: int):
-    """Refuse, before any search or matrix, when a d x d table (d the total
-    dimension) exceeds the guard: the rank tables of the poset's
-    permutations (there is at least one), or the cell of `qloci zelevinsky`."""
-    d = sum(dims.values)
-    if d * d > guard:
-        raise GuardExceededError(f"dimension {d} gives {d * d} table cells, more than {guard}")
 
 
 def _random_rep(q: BipartiteQuiver, dims: DimensionVector, rng: random.Random) -> Representation:

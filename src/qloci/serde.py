@@ -8,8 +8,8 @@ quiver kinds: their quiver, dims, and an arrow table keyed by the quiver's
 ``arrow_names`` ("a1"/"b1"... bipartite, "g1"... oriented); missing keys
 mean zero matrices, and a key the quiver lacks is refused.  Before any
 matrix is built, a representation is refused (GuardExceededError) when it
-needs more than ``poset.DEFAULT_LACE_GUARD`` matrix cells and rows: the sum
-of d(head) * d(tail) over the arrows, plus the total dimension d.
+needs more than MAX_MATRIX_CELLS matrix cells and rows: the sum of
+d(head) * d(tail) over the arrows, plus the total dimension d.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import GuardExceededError, InputError
 from .fields import QQ, int_from_json
 from .matrices import ExactMatrix
 from .perms import Permutation
-from .poset import DEFAULT_LACE_GUARD
 from .quiver import (
     BipartiteQuiver,
     DimensionVector,
@@ -30,6 +29,8 @@ from .quiver import (
 )
 from .reps import LaceArray, RankArray, Representation
 from .reduction import ReductionContext
+
+MAX_MATRIX_CELLS = 10**7
 
 
 def quiver_to_json(q) -> dict:
@@ -89,9 +90,9 @@ def rep_from_json(obj) -> Representation:
             f"its arrows are {', '.join(q.arrow_names) or 'none'}"
         )
     size = sum(dims[h] * dims[t] for h, t in q.arrows) + sum(dims.values)
-    if size > DEFAULT_LACE_GUARD:
+    if size > MAX_MATRIX_CELLS:
         raise GuardExceededError(
-            f"the representation needs {size} matrix cells and rows, more than {DEFAULT_LACE_GUARD}"
+            f"the representation needs {size} matrix cells and rows, more than {MAX_MATRIX_CELLS}"
         )
     mats = {key: ExactMatrix.from_json(mobj) for key, mobj in arrows.items()}
     field = next(iter(mats.values())).field if mats else QQ

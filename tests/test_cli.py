@@ -100,18 +100,23 @@ def test_zelevinsky_text_renders_identity_blocks(tmp_path, capsys):
     assert "orbit closure dimension: 1" in out
 
 
-def test_zelevinsky_rejects_oriented_input_without_reduce(tmp_path, capsys):
+def test_zelevinsky_lifts_oriented_input(tmp_path, capsys):
+    # the zero representation of RR (1,1,1) is embedded through its lift
+    # (0,1,1,1,1) to the double; there is no option that selects the lift
     payload = {
         "quiver": {"type": "A", "orientation": "RR"},
         "dims": [1, 1, 1],
         "arrows": {},
     }
     rep = write(tmp_path, "rep.json", payload)
-    code, _, err = run_main(capsys, ["zelevinsky", "--rep", rep])
-    assert code == 2
-    assert "--reduce" in err
-    code, out, _ = run_main(capsys, ["zelevinsky", "--rep", rep, "--reduce", "--format", "json"])
+    code, out, _ = run_main(capsys, ["zelevinsky", "--rep", rep, "--format", "json"])
     assert code == 0
+    payload = json.loads(out)
+    assert payload["permutation"] == [1, 4, 3, 2] and payload["dimension"] == 1
+    assert payload["block_ranks"]["n"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["zelevinsky", "--rep", rep, "--reduce"])
+    assert exc.value.code == 2
 
 
 def test_unknown_arrow_keys_exit_2(tmp_path, capsys):
@@ -122,7 +127,7 @@ def test_unknown_arrow_keys_exit_2(tmp_path, capsys):
         "arrows": {"a1": one, "g2": one},
     }
     rep = write(tmp_path, "rep.json", payload)
-    code, out, err = run_main(capsys, ["zelevinsky", "--rep", rep, "--reduce", "--format", "json"])
+    code, out, err = run_main(capsys, ["zelevinsky", "--rep", rep, "--format", "json"])
     assert code == 2
     assert not out
     assert "'a1'" in err and "'g2'" not in err
@@ -164,16 +169,17 @@ def test_poset_json_single_node(tmp_path, capsys):
 
 
 def test_poset_enumerates_once(tmp_path, capsys, monkeypatch):
+    # one lace search serves the poset, the order check and the dense orbit
     import qloci.poset
 
     calls = []
-    original = qloci.poset.enumerate_orbits
+    original = qloci.poset._lace_search
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(qloci.poset, "enumerate_orbits", counting)
+    monkeypatch.setattr(qloci.poset, "_lace_search", counting)
     quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 2})
     code, _, _ = run_main(capsys, ["poset", "--quiver", quiver, "--dims", "1,2,2,1,1"])
     assert code == 0
@@ -190,14 +196,16 @@ def test_poset_guard_exits_3(tmp_path, capsys):
 
 
 def test_poset_guard_bounds_node_pairs(tmp_path, capsys):
-    # dims 3^5: the lace search visits 5,007 nodes and finds 660 orbits,
-    # which leave 435,600 pairs for the Hasse diagram and the order check
+    # dims 3^5: the lace search packs 225 weight cells, visits 5,007 nodes
+    # and finds 660 orbits, which leave 435,600 pairs for the Hasse diagram
+    # and the order check and 660 rank tables of 15 x 15 cells:
+    # 660 * (660 + 225) = 584,100
     quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 2})
     argv = ["poset", "--quiver", quiver, "--dims", "3,3,3,3,3", "--format", "json"]
-    code, _, err = run_main(capsys, argv + ["--guard", "435599"])
+    code, _, err = run_main(capsys, argv + ["--guard", "584099"])
     assert code == 3
-    assert "435600 pairs" in err
-    code, out, _ = run_main(capsys, argv + ["--guard", "435600"])
+    assert "660 orbits give 435600 pairs and 148500 rank-table cells" in err
+    code, out, _ = run_main(capsys, argv + ["--guard", "584100"])
     assert code == 0
     payload = json.loads(out)
     assert len(payload["nodes"]) == 660
@@ -205,16 +213,17 @@ def test_poset_guard_bounds_node_pairs(tmp_path, capsys):
 
 
 def test_poset_pair_guard_refuses_as_the_orbits_are_kept(tmp_path, capsys):
-    # bipartite n=9, dims all 1: 262,144 orbits; the default guard admits
-    # 3,162 orbits, so the search stops at the next one instead of building
-    # every node first
+    # bipartite n=9, dims all 1: 262,144 orbits of total dimension 19; the
+    # default guard admits 2,986 orbits (2,986 * (2,986 + 19**2) is at most
+    # 10**7), so the search stops at the next one instead of building every
+    # node first
     quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 9})
     start = time.perf_counter()
     argv = ["poset", "--quiver", quiver, "--dims", ",".join(["1"] * 19)]
     code, out, err = run_main(capsys, argv)
     assert time.perf_counter() - start < 5.0
     assert code == 3 and out == ""
-    assert "3163 orbits give 10004569 pairs" in err
+    assert "2987 orbits give 8922169 pairs and 1078307 rank-table cells" in err
 
 
 @pytest.mark.parametrize(
@@ -235,11 +244,15 @@ def test_oriented_poset_matches_the_oracle(tmp_path, capsys, word, dims):
 
 def test_oriented_poset_guard_counts_kept_pairs(tmp_path, capsys):
     # RR (2,2,2): the double has 35 orbits (1,225 pairs, 261 search nodes);
-    # the search restricted to the open locus visits 69 nodes and finds its
-    # 10 orbits, which leave 100 pairs
+    # the search restricted to the open locus packs 90 weight cells, visits
+    # 69 nodes and finds its 10 orbits, which leave 100 pairs and 10 rank
+    # tables of 8 x 8 cells (the lift is (0,2,2,2,2)): 10 * (10 + 64) = 740
     quiver = write(tmp_path, "q.json", {"type": "A", "orientation": "RR"})
-    argv = ["poset", "--quiver", quiver, "--dims", "2,2,2", "--format", "json", "--guard", "300"]
-    code, out, _ = run_main(capsys, argv)
+    argv = ["poset", "--quiver", quiver, "--dims", "2,2,2", "--format", "json", "--guard"]
+    code, out, err = run_main(capsys, argv + ["739"])
+    assert code == 3 and out == ""
+    assert "10 orbits give 100 pairs and 640 rank-table cells, more than 739" in err
+    code, out, _ = run_main(capsys, argv + ["740"])
     assert code == 0
     payload = json.loads(out)
     assert len(payload["nodes"]) == 10
@@ -296,7 +309,7 @@ def test_reduce_bad_orientation_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("n, dims", [(0, [10**12]), (1, [10**12, 0, 0])])
 def test_huge_representations_exit_3_before_any_matrix(tmp_path, capsys, command, n, dims):
     # these representations need 10**12 rows, more than the
-    # poset.DEFAULT_LACE_GUARD matrix cells and rows allowed: the refusal
+    # serde.MAX_MATRIX_CELLS matrix cells and rows allowed: the refusal
     # comes before any zero row is built
     rep = write(tmp_path, "rep.json", {"quiver": {"type": "bipartiteA", "n": n}, "dims": dims})
     start = time.perf_counter()
@@ -317,7 +330,7 @@ def test_zelevinsky_bounds_its_cell(tmp_path, capsys):
     # RR (1, 2000, 1): d = 2002, but the lift (0, 1, 2000, 2000, 1) has d = 4002
     rr = {"quiver": {"type": "A", "orientation": "RR"}, "dims": [1, 2000, 1]}
     rep = write(tmp_path, "rr.json", rr)
-    code, _, err = run_main(capsys, ["zelevinsky", "--rep", rep, "--reduce"])
+    code, _, err = run_main(capsys, ["zelevinsky", "--rep", rep])
     assert code == 3 and "dimension 4002" in err
 
 
@@ -333,14 +346,14 @@ def test_zelevinsky_cell_bound_at_its_edge(tmp_path, capsys, monkeypatch):
 
 def zero_rep_argv(tmp_path, command, quiver, dims):
     """An argv running ``command`` on the zero representation of ``dims``."""
-    if command == "oracle":
+    if command in ("oracle", "poset"):
         path = write(tmp_path, "q.json", quiver)
         return [command, "--quiver", path, "--dims", ",".join(map(str, dims))]
     path = write(tmp_path, "rep.json", {"quiver": quiver, "dims": dims})
-    return [command, "--rep", path] + (["--reduce"] if quiver["type"] == "A" else [])
+    return [command, "--rep", path]
 
 
-@pytest.mark.parametrize("command", ["decompose", "zelevinsky", "oracle"])
+@pytest.mark.parametrize("command", ["decompose", "zelevinsky", "oracle", "poset"])
 def test_many_intervals_exit_3_before_any_rank(tmp_path, capsys, command):
     # bipartite n = 3000 with zero dims has no matrix cell or row to refuse,
     # but 18,009,001 intervals
@@ -352,7 +365,7 @@ def test_many_intervals_exit_3_before_any_rank(tmp_path, capsys, command):
     assert "18009001 intervals, more than 100000" in err
 
 
-@pytest.mark.parametrize("command", ["decompose", "zelevinsky", "oracle"])
+@pytest.mark.parametrize("command", ["decompose", "zelevinsky", "oracle", "poset"])
 def test_interval_bound_at_its_edge(tmp_path, capsys, monkeypatch, command):
     # bipartite n = 1 has 6 intervals and n = 2 has 15, as does the double of RR
     monkeypatch.setattr("qloci.cli.MAX_INTERVALS", 6)
@@ -368,26 +381,61 @@ def test_interval_bound_at_its_edge(tmp_path, capsys, monkeypatch, command):
 
 
 def test_poset_guard_bounds_the_weight_rows(tmp_path, capsys):
-    # the lace search may pack a row of weights per interval: 6 x 6 cells
-    # for bipartite n = 1, 15 x 15 for the double of RR
-    cases = [({"type": "bipartiteA", "n": 1}, 36), ({"type": "A", "orientation": "RR"}, 225)]
-    for quiver, cells in cases:
-        argv = ["poset", "--quiver", write(tmp_path, "q.json", quiver), "--dims", "0,0,0"]
+    # the lace search packs a row of weights, one cell per interval of the
+    # table, for each interval it may fill, and charges them before the first
+    # node: at dims 1,1,1 all 6 x 6 cells of bipartite n = 1; for RR, 6 of
+    # the double's 15 intervals lie over positive dims and outside the delta
+    # edges, 6 x 15 cells.  The 25 and 29 nodes visited follow on the same
+    # count.  The 4 orbits kept charge 4 * (4 + 3**2) = 52 and
+    # 4 * (4 + 4**2) = 80, within either last guard
+    cases = [
+        ({"type": "bipartiteA", "n": 1}, 36, 25),
+        ({"type": "A", "orientation": "RR"}, 90, 29),
+    ]
+    for quiver, cells, nodes in cases:
+        argv = ["poset", "--quiver", write(tmp_path, "q.json", quiver), "--dims", "1,1,1"]
         code, out, err = run_main(capsys, argv + ["--guard", str(cells - 1)])
-        assert code == 3 and out == "" and f"{cells} weight cells" in err
-        assert run_main(capsys, argv + ["--guard", str(cells)])[0] == 0
+        assert code == 3 and out == ""
+        assert f"lace search packs {cells} weight cells, more than {cells - 1}" in err
+        code, out, err = run_main(capsys, argv + ["--guard", str(cells + nodes - 1)])
+        assert code == 3 and out == ""
+        assert f"packs {cells} weight cells and visits {nodes} nodes" in err
+        assert run_main(capsys, argv + ["--guard", str(cells + nodes)])[0] == 0
 
 
 def test_poset_packs_no_weight_row_over_a_zero_dimension(tmp_path, capsys):
-    # bipartite n = 30, dims all 0: none of the 1,891 intervals can hold a
-    # summand, so none of their weight rows is packed (2.7 s when all were)
+    # bipartite n = 30 and 40, dims all 0: none of the 1,891 and 3,321
+    # intervals can hold a summand, so none of their weight rows is packed
+    # or charged (2.7 s at n = 30 when all were packed)
     interval_table.cache_clear()
-    quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 30})
-    argv = ["poset", "--quiver", quiver, "--dims", ",".join(["0"] * 61)]
+    for n in (30, 40):
+        quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": n})
+        argv = ["poset", "--quiver", quiver, "--dims", ",".join(["0"] * (2 * n + 1))]
+        start = time.perf_counter()
+        code, out, _ = run_main(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out.startswith("1 orbits, 0 covering relations\n")
+
+
+def test_poset_interval_bound_on_zero_dims(tmp_path, capsys):
+    # bipartite n = 222 has 99,235 intervals and runs; n = 223 has 100,128
+    for n, expected in ((222, 0), (223, 3)):
+        quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": n})
+        argv = ["poset", "--quiver", quiver, "--dims", ",".join(["0"] * (2 * n + 1))]
+        code, out, err = run_main(capsys, argv)
+        assert code == expected
+    assert out == "" and "100128 intervals, more than 100000" in err
+
+
+def test_poset_charges_the_rank_tables_before_building_nodes(tmp_path, capsys):
+    # n = 1, dims 200,10,200: 286 orbits, each with a 410 x 410 rank table;
+    # 60 orbits already charge 60 * (60 + 410**2) > 10**7 cells and pairs
+    quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 1})
     start = time.perf_counter()
-    code, out, _ = run_main(capsys, argv)
+    code, out, err = run_main(capsys, ["poset", "--quiver", quiver, "--dims", "200,10,200"])
     assert time.perf_counter() - start < 1.0
-    assert code == 0 and out.startswith("1 orbits, 0 covering relations\n")
+    assert code == 3 and out == ""
+    assert "60 orbits give 3600 pairs and 10086000 rank-table cells, more than 10000000" in err
 
 
 def test_decompose_builds_no_table_per_interval_pair(tmp_path, capsys):
@@ -649,15 +697,13 @@ def fuzz_argv(rng, tmp_path, case):
     # every command may get the huge dimension 10**12, and mutate_quiver a
     # huge n: each bound refuses them with exit 3 before building anything.
     # Both mutations may also give bipartite n = LONG_N with zero dims to
-    # match: `reduce` accepts it, and the interval bound, or the poset
-    # guard on the weight rows, refuses it with exit 3 on the others
+    # match: `reduce` accepts it, and the interval bound refuses it with
+    # exit 3 on the others
     huge = 10**12
     if command in ("decompose", "zelevinsky"):
         rep = fuzz_rep(rng)
         obj = mutate_rep(rep, rng, huge) if rng.random() < 0.8 else rep
         argv = [command, "--rep", str(path)]
-        if command == "zelevinsky" and rng.random() < 0.5:
-            argv.append("--reduce")
     else:
         quiver = rng.choice(FUZZ_QUIVERS)
         obj = mutate_quiver(quiver, rng) if rng.random() < 0.25 else quiver

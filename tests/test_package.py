@@ -69,3 +69,18 @@ def test_the_oracle_reaches_none_of_the_code_it_checks():
     # the poset reaches any quiver through the reduction, not the reverse
     assert "poset" not in package_imports("reduction")
     assert "reduction" in package_imports("poset")
+
+
+def test_guards_live_with_the_code_they_meter():
+    # serde bounds its matrices with its own constant, and the CLI calls no
+    # guard helper of the poset: the poset's budget is metered inside it
+    assert "poset" not in package_imports("serde")
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "poset"
+        for alias in node.names
+    }
+    assert "build_poset" in names
+    assert not {name for name in names if name.startswith("check_")}

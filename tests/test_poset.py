@@ -152,18 +152,20 @@ def test_default_guard_admits_small_instance_with_huge_product_bound():
 
 
 def test_guard_counts_visited_search_nodes():
-    # the search over the 6 intervals of n=1 visits 25 nodes for dims 1,1,1
+    # the search over the 6 intervals of n=1 packs 6 weight rows of 6 cells
+    # and visits 25 nodes for dims 1,1,1, all on one count
     q, d = BipartiteQuiver(1), DimensionVector.of(1, 1, 1)
-    assert len(list(iter_lace_values(q, d, guard=25))) == 4
-    with pytest.raises(GuardExceededError):
-        list(iter_lace_values(q, d, guard=24))
+    assert len(list(iter_lace_values(q, d, guard=61))) == 4
+    with pytest.raises(GuardExceededError, match="36 weight cells and visits 25 nodes"):
+        list(iter_lace_values(q, d, guard=60))
 
 
 def reference_lace_values(q, dims):
     """The lace search as a recursive generator: depth-first over intervals
     sorted by (lo, hi), each multiplicity from its cap down to 0, a node cut
     once the scan passes a vertex with capacity left.  Returns the yielded
-    tuples and the number of nodes visited."""
+    tuples and the search's cost: the nodes visited plus the weight cells,
+    one per interval for each interval over positive dims."""
     check_dims(q, dims)
     table = interval_table(q.n)
     order = sorted(range(len(table)), key=lambda i: (table.intervals[i].lo, table.intervals[i].hi))
@@ -199,7 +201,8 @@ def reference_lace_values(q, dims):
         values[idx] = 0
 
     found = list(rec(0, 0))
-    return found, visited
+    live = sum(1 for lo, hi in spans if min(dims.values[lo : hi + 1]) > 0)
+    return found, visited + live * len(table)
 
 
 def test_lace_search_matches_the_recursive_reference():
@@ -210,10 +213,10 @@ def test_lace_search_matches_the_recursive_reference():
         q = BipartiteQuiver(n)
         for dims in product(range(3), repeat=2 * n + 1):
             d = DimensionVector(dims)
-            expected, visited = reference_lace_values(q, d)
-            assert list(iter_lace_values(q, d, guard=visited)) == expected, dims
+            expected, cost = reference_lace_values(q, d)
+            assert list(iter_lace_values(q, d, guard=cost)) == expected, dims
             with pytest.raises(GuardExceededError):
-                for _ in iter_lace_values(q, d, guard=visited - 1):
+                for _ in iter_lace_values(q, d, guard=cost - 1):
                     pass
 
 
@@ -340,8 +343,16 @@ def test_order_equivalence_builds_one_rank_table_per_node(monkeypatch):
 
 
 def test_build_poset_guards_the_node_pairs():
+    # the N orbits charge N**2 pairs and N rank tables of 10 x 10 cells
     q, d = BipartiteQuiver(2), DimensionVector.of(2, 2, 2, 2, 2)
     count = len(enumerate_orbits(q, d))
-    assert len(build_poset(q, d, guard=count**2).nodes) == count
-    with pytest.raises(GuardExceededError, match="pairs"):
-        build_poset(q, d, guard=count**2 - 1)
+    assert len(build_poset(q, d, guard=count * (count + 100)).nodes) == count
+    with pytest.raises(GuardExceededError, match=f"{count**2} pairs and {count * 100} rank-table"):
+        build_poset(q, d, guard=count * (count + 100) - 1)
+
+
+def test_enumerate_orbits_charges_no_pairs():
+    # the library call compares no nodes, so the guard meters its search
+    # alone: 65,213 orbits would give about 4.25e9 pairs
+    q, d = BipartiteQuiver(4), DimensionVector.of(2, 3, 2, 3, 2, 3, 2, 3, 2)
+    assert len(enumerate_orbits(q, d, guard=10**9)) == 65_213
