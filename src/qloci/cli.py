@@ -11,7 +11,8 @@ Each command declares only the options it reads:
 The poset guard (default ``poset.DEFAULT_LACE_GUARD``) is one budget, and
 each meter charges it with the work its own code does, before doing it:
 the lace search its packed weight rows and visited nodes, `build_poset`
-the node pairs and rank tables of each orbit it keeps.  The oracle guard
+the node pairs, rank tables and node fields of each orbit it keeps.  The
+intervals are bounded by MAX_INTERVALS whatever the guard.  The oracle guard
 bounds the points and the group order (default
 ``oracle.DEFAULT_POINT_GUARD``).  The other bounds are fixed, each checked
 before the work it bounds:

@@ -253,9 +253,10 @@ def build_poset(
     restricted and every orbit of the double is kept as it is.
 
     The guard meters the lace search, then, as each orbit is kept and
-    before its node is built, the N**2 node pairs and N d x d rank tables
-    (d the lifted total dimension) that `hasse` and
-    `order_equivalence_report` spend on the N orbits kept so far.
+    before its node is built, what the N orbits kept so far cost: the N**2
+    node pairs and N d x d rank tables (d the lifted total dimension) that
+    `hasse` and `order_equivalence_report` spend, and per node the fields
+    it fills, its rank and lace arrays and its (2n+1) x (2n+1) block ranks.
     """
     check_dims(q, dims)
     ctx = bipartite_double(q)
@@ -271,13 +272,14 @@ def build_poset(
         )
     node = _node_factory(target, lifted, sum(dims[i] ** 2 for i in ctx.delta_edges))
     table_cells = sum(lifted.values) ** 2
+    node_fields = 2 * len(table) + len(lifted) ** 2  # rank and lace arrays, block ranks
     nodes = []
     for found in _lace_search(table, lifted, guard, allowed):
         count = len(nodes) + 1
-        if count * (count + table_cells) > guard:
+        if count * (count + table_cells + node_fields) > guard:
             raise GuardExceededError(
-                f"{count} orbits give {count * count} pairs and {count * table_cells}"
-                f" rank-table cells, more than {guard}"
+                f"{count} orbits give {count * count} pairs, {count * table_cells} rank-table"
+                f" cells and {count * node_fields} node fields, more than {guard}"
             )
         nodes.append(node(*found))
     nodes.sort(key=lambda node: node.rank.values)

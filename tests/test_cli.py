@@ -198,14 +198,14 @@ def test_poset_guard_exits_3(tmp_path, capsys):
 def test_poset_guard_bounds_node_pairs(tmp_path, capsys):
     # dims 3^5: the lace search packs 225 weight cells, visits 5,007 nodes
     # and finds 660 orbits, which leave 435,600 pairs for the Hasse diagram
-    # and the order check and 660 rank tables of 15 x 15 cells:
-    # 660 * (660 + 225) = 584,100
+    # and the order check, 660 rank tables of 15 x 15 cells and 660 nodes of
+    # 2 * 15 + 5**2 fields: 660 * (660 + 225 + 55) = 620,400
     quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 2})
     argv = ["poset", "--quiver", quiver, "--dims", "3,3,3,3,3", "--format", "json"]
-    code, _, err = run_main(capsys, argv + ["--guard", "584099"])
+    code, _, err = run_main(capsys, argv + ["--guard", "620399"])
     assert code == 3
-    assert "660 orbits give 435600 pairs and 148500 rank-table cells" in err
-    code, out, _ = run_main(capsys, argv + ["--guard", "584100"])
+    assert "660 orbits give 435600 pairs, 148500 rank-table cells and 36300 node fields" in err
+    code, out, _ = run_main(capsys, argv + ["--guard", "620400"])
     assert code == 0
     payload = json.loads(out)
     assert len(payload["nodes"]) == 660
@@ -213,17 +213,17 @@ def test_poset_guard_bounds_node_pairs(tmp_path, capsys):
 
 
 def test_poset_pair_guard_refuses_as_the_orbits_are_kept(tmp_path, capsys):
-    # bipartite n=9, dims all 1: 262,144 orbits of total dimension 19; the
-    # default guard admits 2,986 orbits (2,986 * (2,986 + 19**2) is at most
-    # 10**7), so the search stops at the next one instead of building every
-    # node first
+    # bipartite n=9, dims all 1: 262,144 orbits of total dimension 19, each
+    # node filling 2 * 190 + 19**2 = 741 fields; the default guard admits
+    # 2,658 orbits (2,658 * (2,658 + 19**2 + 741) is at most 10**7), so the
+    # search stops at the next one instead of building every node first
     quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 9})
     start = time.perf_counter()
     argv = ["poset", "--quiver", quiver, "--dims", ",".join(["1"] * 19)]
     code, out, err = run_main(capsys, argv)
     assert time.perf_counter() - start < 5.0
     assert code == 3 and out == ""
-    assert "2987 orbits give 8922169 pairs and 1078307 rank-table cells" in err
+    assert "2659 orbits give 7070281 pairs, 959899 rank-table cells and 1970319 node" in err
 
 
 @pytest.mark.parametrize(
@@ -245,14 +245,15 @@ def test_oriented_poset_matches_the_oracle(tmp_path, capsys, word, dims):
 def test_oriented_poset_guard_counts_kept_pairs(tmp_path, capsys):
     # RR (2,2,2): the double has 35 orbits (1,225 pairs, 261 search nodes);
     # the search restricted to the open locus packs 90 weight cells, visits
-    # 69 nodes and finds its 10 orbits, which leave 100 pairs and 10 rank
-    # tables of 8 x 8 cells (the lift is (0,2,2,2,2)): 10 * (10 + 64) = 740
+    # 69 nodes and finds its 10 orbits, which leave 100 pairs, 10 rank
+    # tables of 8 x 8 cells (the lift is (0,2,2,2,2)) and 10 nodes of
+    # 2 * 15 + 5**2 fields: 10 * (10 + 64 + 55) = 1,290
     quiver = write(tmp_path, "q.json", {"type": "A", "orientation": "RR"})
     argv = ["poset", "--quiver", quiver, "--dims", "2,2,2", "--format", "json", "--guard"]
-    code, out, err = run_main(capsys, argv + ["739"])
+    code, out, err = run_main(capsys, argv + ["1289"])
     assert code == 3 and out == ""
-    assert "10 orbits give 100 pairs and 640 rank-table cells, more than 739" in err
-    code, out, _ = run_main(capsys, argv + ["740"])
+    assert "10 orbits give 100 pairs, 640 rank-table cells and 550 node fields, more than 1289" in err
+    code, out, _ = run_main(capsys, argv + ["1290"])
     assert code == 0
     payload = json.loads(out)
     assert len(payload["nodes"]) == 10
@@ -385,22 +386,26 @@ def test_poset_guard_bounds_the_weight_rows(tmp_path, capsys):
     # table, for each interval it may fill, and charges them before the first
     # node: at dims 1,1,1 all 6 x 6 cells of bipartite n = 1; for RR, 6 of
     # the double's 15 intervals lie over positive dims and outside the delta
-    # edges, 6 x 15 cells.  The 25 and 29 nodes visited follow on the same
-    # count.  The 4 orbits kept charge 4 * (4 + 3**2) = 52 and
-    # 4 * (4 + 4**2) = 80, within either last guard
+    # edges, 6 x 15 cells.  The next unit of guard goes to the first node
+    # visited.  The 4 orbits kept then charge 4 * (4 + 3**2 + 2 * 6 + 3**2)
+    # = 136 and 4 * (4 + 4**2 + 2 * 15 + 5**2) = 300, more than the 25 and
+    # 29 nodes the searches visit, so the orbit charge sets the last guard
     cases = [
-        ({"type": "bipartiteA", "n": 1}, 36, 25),
-        ({"type": "A", "orientation": "RR"}, 90, 29),
+        ({"type": "bipartiteA", "n": 1}, 36, 136),
+        ({"type": "A", "orientation": "RR"}, 90, 300),
     ]
-    for quiver, cells, nodes in cases:
+    for quiver, cells, charge in cases:
         argv = ["poset", "--quiver", write(tmp_path, "q.json", quiver), "--dims", "1,1,1"]
         code, out, err = run_main(capsys, argv + ["--guard", str(cells - 1)])
         assert code == 3 and out == ""
         assert f"lace search packs {cells} weight cells, more than {cells - 1}" in err
-        code, out, err = run_main(capsys, argv + ["--guard", str(cells + nodes - 1)])
+        code, out, err = run_main(capsys, argv + ["--guard", str(cells)])
         assert code == 3 and out == ""
-        assert f"packs {cells} weight cells and visits {nodes} nodes" in err
-        assert run_main(capsys, argv + ["--guard", str(cells + nodes)])[0] == 0
+        assert f"packs {cells} weight cells and visits 1 nodes, more than {cells}" in err
+        code, out, err = run_main(capsys, argv + ["--guard", str(charge - 1)])
+        assert code == 3 and out == ""
+        assert "4 orbits give 16 pairs" in err
+        assert run_main(capsys, argv + ["--guard", str(charge)])[0] == 0
 
 
 def test_poset_packs_no_weight_row_over_a_zero_dimension(tmp_path, capsys):
@@ -428,14 +433,30 @@ def test_poset_interval_bound_on_zero_dims(tmp_path, capsys):
 
 
 def test_poset_charges_the_rank_tables_before_building_nodes(tmp_path, capsys):
-    # n = 1, dims 200,10,200: 286 orbits, each with a 410 x 410 rank table;
-    # 60 orbits already charge 60 * (60 + 410**2) > 10**7 cells and pairs
+    # n = 1, dims 200,10,200: 286 orbits, each with a 410 x 410 rank table
+    # and 2 * 6 + 3**2 node fields; 60 orbits already charge
+    # 60 * (60 + 410**2 + 21) > 10**7 pairs, cells and fields
     quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": 1})
     start = time.perf_counter()
     code, out, err = run_main(capsys, ["poset", "--quiver", quiver, "--dims", "200,10,200"])
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
-    assert "60 orbits give 3600 pairs and 10086000 rank-table cells, more than 10000000" in err
+    assert "60 orbits give 3600 pairs, 10086000 rank-table cells and 1260 node fields" in err
+
+
+def test_poset_charges_the_fields_of_each_node(tmp_path, capsys):
+    # bipartite n = 222, dims 1 on the last 12 vertices: 2,048 orbits, each
+    # node filling 2 * 99,235 rank and lace fields and 445**2 block ranks,
+    # so the 26th orbit is refused before its node is built; most of the
+    # time goes to packing the search's 78 * 99,235 weight cells
+    n = 222
+    quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": n})
+    dims = ",".join(["0"] * (2 * n + 1 - 12) + ["1"] * 12)
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, ["poset", "--quiver", quiver, "--dims", dims])
+    assert time.perf_counter() - start < 30.0
+    assert code == 3 and out == ""
+    assert "26 orbits give 676 pairs, 3744 rank-table cells and 10308870 node fields" in err
 
 
 def test_decompose_builds_no_table_per_interval_pair(tmp_path, capsys):

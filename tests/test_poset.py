@@ -343,12 +343,14 @@ def test_order_equivalence_builds_one_rank_table_per_node(monkeypatch):
 
 
 def test_build_poset_guards_the_node_pairs():
-    # the N orbits charge N**2 pairs and N rank tables of 10 x 10 cells
+    # the N orbits charge N**2 pairs, N rank tables of 10 x 10 cells and N
+    # nodes of 2 * 15 + 5**2 fields
     q, d = BipartiteQuiver(2), DimensionVector.of(2, 2, 2, 2, 2)
     count = len(enumerate_orbits(q, d))
-    assert len(build_poset(q, d, guard=count * (count + 100)).nodes) == count
-    with pytest.raises(GuardExceededError, match=f"{count**2} pairs and {count * 100} rank-table"):
-        build_poset(q, d, guard=count * (count + 100) - 1)
+    charge = count * (count + 100 + 55)
+    assert len(build_poset(q, d, guard=charge).nodes) == count
+    with pytest.raises(GuardExceededError, match=f"{count**2} pairs, {count * 100} rank-table"):
+        build_poset(q, d, guard=charge - 1)
 
 
 def test_enumerate_orbits_charges_no_pairs():

@@ -338,22 +338,23 @@ def test_open_locus_guard_counts_only_the_restricted_search():
     # RRRR 2^5: the double has 5,875 orbits, found in 48,299 search nodes;
     # the search for the 125 orbits of the open locus packs 675 weight cells
     # (15 allowed rows of 45 intervals) and visits 980 nodes, and the orbits
-    # charge 15,625 pairs and 125 rank tables of 16 x 16 cells
+    # charge 15,625 pairs, 125 rank tables of 16 x 16 cells and 125 nodes of
+    # 2 * 45 + 9**2 = 171 fields
     from qloci import GuardExceededError, build_poset
 
     ctx = bipartite_double(TypeAQuiver("RRRR"))
     d = DimensionVector.of(2, 2, 2, 2, 2)
-    assert len(build_poset(ctx.source, d, guard=47_625).nodes) == 125
+    assert len(build_poset(ctx.source, d, guard=69_000).nodes) == 125
     # the search passes that guard, and the charge exceeds it at the last orbit kept
-    with pytest.raises(GuardExceededError, match="125 orbits give 15625 pairs and 32000 rank"):
-        build_poset(ctx.source, d, guard=47_624)
+    with pytest.raises(GuardExceededError, match="125 orbits give 15625 pairs, 32000 rank"):
+        build_poset(ctx.source, d, guard=68_999)
     # RRRR 1^5: the same 675 weight cells, then 153 nodes for the open
-    # locus's 16 orbits, which charge 16 * (16 + 8**2) = 1,280; under a
-    # guard of 700 the 26th node comes before the 10th orbit
+    # locus's 16 orbits, which charge 16 * (16 + 8**2 + 171) = 4,016; under
+    # a guard of 700 the 26th node comes before the 3rd orbit
     d = DimensionVector.of(1, 1, 1, 1, 1)
-    assert len(build_poset(ctx.source, d, guard=1_280).nodes) == 16
-    with pytest.raises(GuardExceededError, match="16 orbits give 256 pairs and 1024 rank"):
-        build_poset(ctx.source, d, guard=1_279)
+    assert len(build_poset(ctx.source, d, guard=4_016).nodes) == 16
+    with pytest.raises(GuardExceededError, match="16 orbits give 256 pairs, 1024 rank"):
+        build_poset(ctx.source, d, guard=4_015)
     with pytest.raises(GuardExceededError, match="675 weight cells and visits 26 nodes"):
         build_poset(ctx.source, d, guard=700)
     with pytest.raises(GuardExceededError, match="packs 675 weight cells, more than 674"):
