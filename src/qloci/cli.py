@@ -10,12 +10,12 @@ Each command declares only the options it reads:
 
 The poset guard (default ``poset.DEFAULT_LACE_GUARD``) is one budget, and
 each meter charges it with the work its own code does, before doing it:
-the lace search its packed weight rows and visited nodes, `build_poset`
-the node pairs, rank tables and node fields of each orbit it keeps.  The
-intervals are bounded by MAX_INTERVALS whatever the guard.  The oracle guard
-bounds the points and the group order (default
-``oracle.DEFAULT_POINT_GUARD``).  The other bounds are fixed, each checked
-before the work it bounds:
+the lace search its packed rows (rank arrays and block counts) and
+visited nodes, `build_poset` the node pairs, rank tables and node fields of
+each orbit it keeps.  The intervals are bounded by MAX_INTERVALS whatever
+the guard.  The oracle guard bounds the points and the group order
+(default ``oracle.DEFAULT_POINT_GUARD``).  The other bounds are fixed, each
+checked before the work it bounds:
 
     decompose, zelevinsky   sum(d(head) * d(tail)) over the arrows plus the
                             total dimension d <= serde.MAX_MATRIX_CELLS

@@ -1,14 +1,21 @@
 """Permutation combinatorics: lengths, diagrams, essential sets, Bruhat
 order, and the block-structured permutation attached to a block rank matrix.
 
-The block permutation functions take plain row and column block sizes;
-`zelevinsky.BlockLayout` owns the block order and sizes of the cell.
+The block permutation takes two steps: `block_counts` reads the number of
+1s in each block off the block rank matrix as second differences, and
+`permutation_from_counts`, the one greedy fill, places them.  The orbit
+enumeration carries each orbit's block counts through its search, so it
+takes only the second step, with `length_from_counts` for the length;
+`zelevinsky_permutation` and `length_from_blocks` start from a block rank
+matrix.  The block permutation functions take plain row and column block
+sizes; `zelevinsky.BlockLayout` owns the block order and sizes of the cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub
 
 from .errors import InputError, ShapeError
 from .quiver import DimensionVector, d_x, d_y, pack_fields
@@ -110,51 +117,97 @@ def w_of(dims: DimensionVector) -> Permutation:
     return Permutation(word)
 
 
-def zelevinsky_permutation(b, row_sizes, col_sizes) -> Permutation:
-    """The unique permutation whose block (i, j) holds the second difference
-    of the block rank matrix, with 1s running northwest to southeast along
-    every block row and down every block column.
+def block_counts(b) -> tuple[int, ...]:
+    """The second differences of the block rank matrix: the number of 1s
+    in block (i, j), for the (2n+1) x (2n+1) blocks flattened row by row.
+
+    Row i of counts is the difference of the differences along block rows
+    i and i-1 (zero above and left); a negative count raises InputError.
+    """
+    counts = []
+    prev = (0,) * len(b.entries)  # differences along the block row above
+    for bi, cur in enumerate(b.entries, start=1):
+        diff = list(map(sub, cur, (0, *cur[:-1])))
+        row = list(map(sub, diff, prev))
+        if min(row) < 0:
+            bj = next(j for j, count in enumerate(row, start=1) if count < 0)
+            raise InputError(f"negative block count at ({bi},{bj})")
+        counts += row
+        prev = diff
+    return tuple(counts)
+
+
+def permutation_from_counts(counts, row_sizes, col_sizes) -> Permutation:
+    """The unique permutation with ``counts`` 1s in its blocks (non-negative,
+    flattened row by row as `block_counts` gives them), with 1s running
+    northwest to southeast along every block row and down every block
+    column.
 
     ``row_sizes`` and ``col_sizes`` are the block sizes in the order of
     `zelevinsky.BlockLayout`.  Sweeping blocks in reading order and greedily
     assigning the lowest unused row of the block row and lowest unused
-    column of the block column realizes that arrangement.  Second
-    differences come from the current and the previous row of block ranks
-    (zero above and left).
+    column of the block column realizes that arrangement; the rows are then
+    taken in order, so the word is written left to right, and rows a block
+    row leaves without a 1 read 0.
     """
     nb = len(row_sizes)
-    if len(col_sizes) != nb or nb != 2 * b.n + 1:
-        raise ShapeError("block spec does not match the block rank matrix")
-    total = sum(row_sizes)
-    if sum(col_sizes) != total:
+    if len(col_sizes) != nb or len(counts) != nb * nb:
+        raise ShapeError("block spec does not match the block counts")
+    if sum(col_sizes) != sum(row_sizes):
         raise ShapeError("row and column blocks partition different totals")
-    word = [0] * total
+    word = []
     bounds = list(accumulate(col_sizes, initial=1))
     next_col, col_ends = bounds[:-1], bounds[1:]  # next free column per block column
-    prev = (0,) * nb
-    row_end = 1
-    for bi, (cur, size) in enumerate(zip(b.entries, row_sizes), start=1):
-        row, row_end = row_end, row_end + size
-        left = up_left = 0
-        for bj, (here, up) in enumerate(zip(cur, prev)):
-            count = here + up_left - left - up
-            left, up_left = here, up
-            if count <= 0:
-                if count < 0:
-                    raise InputError(f"negative block count at ({bi},{bj + 1})")
+    for bi, (start, room) in enumerate(zip(range(0, nb * nb, nb), row_sizes), start=1):
+        for bj, count in enumerate(counts[start : start + nb]):
+            if not count:
                 continue
             col = next_col[bj]
-            if col + count > col_ends[bj]:
+            end = col + count
+            if end > col_ends[bj]:
                 raise InputError(f"block column {bj + 1} cannot hold {count} more 1s")
-            if row + count > row_end:
+            if count > room:
                 raise InputError(f"block row {bi} cannot hold {count} more 1s")
-            word[row - 1 : row - 1 + count] = range(col, col + count)
-            row += count
-            next_col[bj] = col + count
-        prev = cur
+            word += range(col, end)
+            room -= count
+            next_col[bj] = end
+        word += [0] * room
     if 0 in word:
         raise InputError("block counts do not fill the permutation")
     return Permutation(tuple(word))
+
+
+def zelevinsky_permutation(b, row_sizes, col_sizes) -> Permutation:
+    """The block permutation of a block rank matrix: its `block_counts`
+    filled in by `permutation_from_counts`."""
+    nb = len(row_sizes)
+    if len(col_sizes) != nb or nb != 2 * b.n + 1:
+        raise ShapeError("block spec does not match the block rank matrix")
+    return permutation_from_counts(block_counts(b), row_sizes, col_sizes)
+
+
+def length_from_counts(counts, nb: int) -> int:
+    """Length of the block permutation with the given ``nb`` x ``nb`` block
+    counts (flattened row by row): over all blocks, (1s strictly northeast)
+    times (1s inside).
+
+    ``above`` holds the running column sums of the block rows already
+    passed; summed from the east along a row, they give the 1s strictly
+    northeast of each of its blocks.
+    """
+    above = [0] * nb
+    total = 0
+    for start in range(0, nb * nb, nb):
+        ne = 0
+        for j in range(nb - 1, -1, -1):
+            count = counts[start + j]
+            if count:
+                total += ne * count
+                ne += above[j]
+                above[j] += count
+            else:
+                ne += above[j]
+    return total
 
 
 def length_from_blocks(b) -> int:

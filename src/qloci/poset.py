@@ -7,11 +7,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 from .errors import GuardExceededError, InternalCheckError
 from .fields import PrimeField, DEFAULT_SAMPLING_PRIME
 from .matrices import ExactMatrix
-from .perms import Permutation, length_from_blocks, packed_rank_tables, zelevinsky_permutation
+from .perms import (
+    Permutation,
+    block_counts,
+    length_from_counts,
+    packed_rank_tables,
+    permutation_from_counts,
+)
 from .quiver import (
     BipartiteQuiver,
     DimensionVector,
@@ -22,6 +30,7 @@ from .quiver import (
     field_width,
     interval_table,
     pack_fields,
+    pack_row,
     unpack_fields,
 )
 from .reduction import bipartite_double, lift_dimension
@@ -70,41 +79,62 @@ def iter_lace_values(q: BipartiteQuiver, dims: DimensionVector, guard: int = DEF
         yield values
 
 
+@lru_cache(maxsize=None)
+def _packed_row(n: int, slot: int, width: int) -> int:
+    """What one copy of the indecomposable I_J on interval ``slot`` adds to
+    an orbit's packed row: its rank array, `IntervalTable.packed_weight`,
+    followed in the same integer and field width by its (2n+1)**2 block
+    counts, `block_counts` of its symbolic block rank matrix.
+
+    Offsets, ranks and so block counts are linear in the lace array, so an
+    orbit's counts are the sum of these over its summands; each is at most
+    sum(dims), which the field width holds.  Built once per (n, slot, width).
+    """
+    table = interval_table(n)
+    count = len(table)
+    weight = table.packed_weight(slot, width)
+    lo, hi = table.spans[slot]
+    dims = DimensionVector(tuple(int(lo <= p <= hi) for p in range(table.vertex_count)))
+    b = block_rank_symbolic(RankArray(n, unpack_fields(weight, width, count)), dims)
+    return weight | pack_row(block_counts(b), width) << 8 * width * count
+
+
 def _lace_search(table, dims: DimensionVector, guard: int, allowed: int = -1):
     """Depth-first search over the multiplicity tuples with the given
-    per-vertex totals, yielding (tuple, packed rank array, field width)
-    triples; the rank array is packed in the layout of `quiver.pack_fields`,
-    without guard bits.
+    per-vertex totals, yielding (tuple, packed row, field width) triples.
+    The packed row holds the orbit's rank array followed by its
+    (2n+1) x (2n+1) block counts, flattened row by row, in the layout of
+    `quiver.pack_fields` without guard bits.
 
-    Intervals are taken in order of (left endpoint, right endpoint), each
-    multiplicity from its largest possible value down to 0; intervals whose
-    bit in ``allowed`` is clear stay at 0 and are not searched.  Once the
-    scan passes a vertex, its remaining capacity must be exactly zero, or
-    the node is cut.  The search keeps its own stack: per depth the current
-    multiplicity and the frontier (the first vertex that may still have
-    capacity).  Alongside the tuple it carries the rank array packed by
-    ``table.packed_weight(j, width)``, with fields wide enough for
-    sum(dims), the largest a rank can be: setting interval j to m adds m
-    times packed row j, and each step of m down subtracts the row once.
-    An interval over a zero-dimension vertex keeps m = 0, so its row is
-    never packed.  One counter meters the search against the guard: the
-    weight cells of the rows it packs (a field per interval of the table
-    each), charged before any row is packed, then every node visited.
+    Intervals are taken in order of their spans (lo, hi), each multiplicity
+    from its largest possible value down to 0; intervals whose bit in
+    ``allowed`` is clear stay at 0 and are not searched.  Once the scan
+    passes a vertex, its remaining capacity must be exactly zero, or the
+    node is cut.  The search reads only ``table.spans`` and keeps its own
+    stack: per depth the current multiplicity and the frontier (the first
+    vertex that may still have capacity).  Alongside the tuple it carries
+    the packed row as a sum of `_packed_row`s, with fields wide enough for
+    sum(dims), the largest a rank or a block count can be: setting interval
+    j to m adds m times row j, and each step of m down subtracts the row
+    once.  An interval over a zero-dimension vertex keeps m = 0, so its row
+    is never packed.  One counter meters the search against the guard: the
+    cells of the rows it packs (per row, a field per interval of the table
+    and one per block), charged before any row is packed, then every node
+    visited.
     """
     width = field_width(sum(dims.values))
-    ivs = table.intervals
-    order = sorted(
-        (i for i in range(len(table)) if allowed >> i & 1), key=lambda i: (ivs[i].lo, ivs[i].hi)
-    )
+    spans = table.spans
+    order = sorted((i for i in range(len(table)) if allowed >> i & 1), key=spans.__getitem__)
     depth = len(order)
-    los = [ivs[i].lo for i in order]
-    his = [ivs[i].hi + 1 for i in order]
+    los = [spans[i][0] for i in order]
+    his = [spans[i][1] + 1 for i in order]
     remaining = list(dims.values)
-    live = [min(remaining[lo:hi]) > 0 for lo, hi in zip(los, his)]
-    cells = sum(live) * len(table)
+    zeros = list(accumulate((not v for v in remaining), initial=0))  # zero dims before each vertex
+    live = [zeros[lo] == zeros[hi] for lo, hi in zip(los, his)]
+    cells = sum(live) * (len(table) + table.vertex_count**2)
     if cells > guard:
         raise GuardExceededError(f"lace search packs {cells} weight cells, more than {guard}")
-    packed_rows = [table.packed_weight(i, width) if ok else 0 for i, ok in zip(order, live)]
+    packed_rows = [_packed_row(table.n, i, width) if ok else 0 for i, ok in zip(order, live)]
     values = [0] * len(table)
     mults = [0] * depth
     frontiers = [0] * depth
@@ -157,21 +187,24 @@ def _lace_search(table, dims: DimensionVector, guard: int, allowed: int = -1):
 
 def _node_factory(q: BipartiteQuiver, dims: DimensionVector, smooth: int = 0):
     """The function that turns one triple of `_lace_search` into its
-    OrbitNode; permutation and dimension follow by the symbolic pipeline,
-    the dimension less ``smooth``."""
+    OrbitNode: one unpack of the packed row gives the rank array and the
+    block counts, which give the permutation (`permutation_from_counts`)
+    and its length (`length_from_counts`); the dimension is d_x * d_y less
+    the length, less ``smooth``."""
     layout = layout_for(q, dims)
     row_sizes, col_sizes = layout.row_sizes, layout.col_sizes
     count = len(interval_table(q.n))
+    nb = len(dims)
     top = d_x(dims) * d_y(dims) - smooth
 
     def node(values, packed, width) -> OrbitNode:
-        r = RankArray(q.n, unpack_fields(packed, width, count))
-        b = block_rank_symbolic(r, dims)
-        length = length_from_blocks(b)
+        fields = unpack_fields(packed, width, count + nb * nb)
+        counts = fields[count:]
+        length = length_from_counts(counts, nb)
         return OrbitNode(
-            rank=r,
+            rank=RankArray(q.n, fields[:count]),
             lace=LaceArray(q.n, values),
-            permutation=zelevinsky_permutation(b, row_sizes, col_sizes),
+            permutation=permutation_from_counts(counts, row_sizes, col_sizes),
             length=length,
             dimension=top - length,
         )
@@ -186,10 +219,11 @@ def enumerate_orbits(
     sorted by rank array.
 
     Classes are enumerated through their multiplicity arrays, so the list is
-    complete and exact; the lace search hands over each rank array packed,
-    and permutations and dimensions follow by the symbolic pipeline.  The
-    guard meters the lace search alone (`_lace_search`): the nodes are not
-    compared here, so their pairs are not charged.
+    complete and exact; the lace search hands over each orbit's rank array
+    and block counts in one packed row, from which `_node_factory` reads
+    the permutation, length and dimension, with no block rank matrix built
+    per orbit.  The guard meters the lace search alone (`_lace_search`):
+    the nodes are not compared here, so their pairs are not charged.
     """
     node = _node_factory(q, dims)
     nodes = [node(*found) for found in _lace_search(interval_table(q.n), dims, guard)]
@@ -252,11 +286,13 @@ def build_poset(
     double, whose intervals index the arrays.  With no delta edge nothing is
     restricted and every orbit of the double is kept as it is.
 
-    The guard meters the lace search, then, as each orbit is kept and
-    before its node is built, what the N orbits kept so far cost: the N**2
-    node pairs and N d x d rank tables (d the lifted total dimension) that
-    `hasse` and `order_equivalence_report` spend, and per node the fields
-    it fills, its rank and lace arrays and its (2n+1) x (2n+1) block ranks.
+    The guard meters the lace search (the rank arrays and block counts it
+    packs, and the nodes it visits), then, as each orbit is kept and before
+    its node is built from the search's packed row by `_node_factory`, what
+    the N orbits kept so far cost: the N**2 node pairs and N d x d rank
+    tables (d the lifted total dimension) that `hasse` and
+    `order_equivalence_report` spend, and per node the fields it fills, its
+    rank and lace arrays and its (2n+1) x (2n+1) block counts.
     """
     check_dims(q, dims)
     ctx = bipartite_double(q)
@@ -272,7 +308,7 @@ def build_poset(
         )
     node = _node_factory(target, lifted, sum(dims[i] ** 2 for i in ctx.delta_edges))
     table_cells = sum(lifted.values) ** 2
-    node_fields = 2 * len(table) + len(lifted) ** 2  # rank and lace arrays, block ranks
+    node_fields = 2 * len(table) + len(lifted) ** 2  # rank and lace arrays, block counts
     nodes = []
     for found in _lace_search(table, lifted, guard, allowed):
         count = len(nodes) + 1

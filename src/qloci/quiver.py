@@ -159,11 +159,13 @@ class IntervalTable:
 
     ``spans`` holds the (lo, hi) vertex spans in the canonical order:
     vertex intervals by position, then arrow intervals by left endpoint and
-    length; ``intervals``, ``index`` and ``arrow_intervals`` are read from
-    it.  ``shift_rows`` holds, per arrow interval, the sign and the rank
+    length.  ``intervals``, ``index`` and ``arrow_intervals`` are read from
+    it, and ``shift_rows`` holds, per arrow interval, the sign and the rank
     slots of the shift formula: J_L, J_R, their meet and their join, each
-    clipped by `rank_slot_of_span`.  The weights of the rank formula are
-    packed row by row where they are read, by `packed_weight`.
+    clipped by `rank_slot_of_span`.  Each of these is built when first read,
+    so a caller that needs only the spans (the lace search) pays for nothing
+    else.  The weights of the rank formula are packed row by row where they
+    are read, by `packed_weight`.
     """
 
     def __init__(self, n: int):
@@ -173,11 +175,24 @@ class IntervalTable:
         self.spans = tuple((p, p) for p in range(top + 1)) + tuple(
             (lo, hi) for lo in range(top) for hi in range(lo + 1, top + 1)
         )
-        self.intervals = tuple(Interval(lo, hi) for lo, hi in self.spans)
-        self.index = {j: i for i, j in enumerate(self.intervals)}
-        self.arrow_intervals = self.intervals[top + 1 :]
+        self._packed = {}
+
+    @cached_property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(Interval(lo, hi) for lo, hi in self.spans)
+
+    @cached_property
+    def index(self) -> dict[Interval, int]:
+        return {j: i for i, j in enumerate(self.intervals)}
+
+    @cached_property
+    def arrow_intervals(self) -> tuple[Interval, ...]:
+        return self.intervals[self.vertex_count :]
+
+    @cached_property
+    def shift_rows(self) -> tuple[tuple[int, int, int, int, int], ...]:
         slot = self.rank_slot_of_span
-        self.shift_rows = tuple(
+        return tuple(
             (
                 -1 if (hi - lo) % 2 else 1,
                 slot(lo - 1, hi - 1),
@@ -185,9 +200,8 @@ class IntervalTable:
                 slot(lo + 1, hi - 1),
                 slot(lo - 1, hi + 1),
             )
-            for lo, hi in self.spans[top + 1 :]
+            for lo, hi in self.spans[self.vertex_count :]
         )
-        self._packed = {}
 
     def packed_weight(self, slot: int, width: int) -> int:
         """For J' the interval at ``slot``, the row of ceil(shared arrows(J,

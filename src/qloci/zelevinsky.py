@@ -235,29 +235,43 @@ def _block_formula(n: int, i: int, j: int):
 
 
 @lru_cache(maxsize=1)
-def _block_plan(n: int, dims: DimensionVector) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The block plan: `_block_formula` for every block, as a (2n+1) x (2n+1)
-    table of (offset, rank slot) pairs.
+def _block_shape(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """`_block_formula` for every block, as a (2n+1) x (2n+1) table of
+    (kx, my, rank slot) triples.
 
-    Each offset is read from prefix sums of the x and y dimensions, so the
-    plan costs O(n**2).  The slot indexes the rank array; -1 means the
-    interval is empty and its rank is forced to 0.  Only the latest
-    (n, dims) is kept, since callers sweep the orbits of one dimension
-    vector at a time.
+    The slot indexes the rank array; -1 means the interval is empty and its
+    rank is forced to 0.  The shape depends on n alone, so the plans of
+    every dimension vector at one n share it; only the latest n is kept.
     """
     table = interval_table(n)
-    xs = list(accumulate(dims.values[1::2], initial=0))  # xs[k]: x_1..x_k
-    ys = list(accumulate(dims.values[0::2], initial=0))  # ys[m]: y_0..y_{m-1}
     k = 2 * n + 1
-    plan = []
+    shape = []
     for i in range(1, k + 1):
         row = []
         for j in range(1, k + 1):
             kx, my, elo, ehi = _block_formula(n, i, j)
-            offset = xs[n] - xs[kx - 1] + ys[my + 1]
-            row.append((offset, table.rank_slot_of_span(elo - 1, ehi)))
-        plan.append(tuple(row))
-    return tuple(plan)
+            row.append((kx, my, table.rank_slot_of_span(elo - 1, ehi)))
+        shape.append(tuple(row))
+    return tuple(shape)
+
+
+@lru_cache(maxsize=1)
+def _block_plan(n: int, dims: DimensionVector) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The block plan: a (2n+1) x (2n+1) table of (offset, rank slot)
+    pairs, the slots those of `_block_shape`.
+
+    Each offset, the dims of x_kx..x_n plus those of y_0..y_my, is read
+    from prefix sums of the x and y dimensions, so the plan costs O(n**2).
+    Only the latest (n, dims) is kept, since callers sweep the orbits of
+    one dimension vector at a time.
+    """
+    xs = list(accumulate(dims.values[1::2], initial=0))  # xs[k]: x_1..x_k
+    ys = list(accumulate(dims.values[0::2], initial=0))  # ys[m]: y_0..y_{m-1}
+    top = xs[n]
+    return tuple(
+        tuple([(top - xs[kx - 1] + ys[my + 1], slot) for kx, my, slot in row])
+        for row in _block_shape(n)
+    )
 
 
 def block_rank_symbolic(r: RankArray, dims: DimensionVector) -> BlockRankMatrix:

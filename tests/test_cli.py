@@ -382,17 +382,18 @@ def test_interval_bound_at_its_edge(tmp_path, capsys, monkeypatch, command):
 
 
 def test_poset_guard_bounds_the_weight_rows(tmp_path, capsys):
-    # the lace search packs a row of weights, one cell per interval of the
-    # table, for each interval it may fill, and charges them before the first
-    # node: at dims 1,1,1 all 6 x 6 cells of bipartite n = 1; for RR, 6 of
-    # the double's 15 intervals lie over positive dims and outside the delta
-    # edges, 6 x 15 cells.  The next unit of guard goes to the first node
-    # visited.  The 4 orbits kept then charge 4 * (4 + 3**2 + 2 * 6 + 3**2)
-    # = 136 and 4 * (4 + 4**2 + 2 * 15 + 5**2) = 300, more than the 25 and
-    # 29 nodes the searches visit, so the orbit charge sets the last guard
+    # the lace search packs a row for each interval it may fill, one cell per
+    # interval of the table and one per block, and charges them before the
+    # first node: at dims 1,1,1 all 6 x (6 + 3**2) cells of bipartite n = 1;
+    # for RR, 6 of the double's 15 intervals lie over positive dims and
+    # outside the delta edges, 6 x (15 + 5**2) cells.  The next unit of guard
+    # goes to the first node visited.  The 4 orbits kept then charge
+    # 4 * (4 + 3**2 + 2 * 6 + 3**2) = 136 and 4 * (4 + 4**2 + 2 * 15 + 5**2)
+    # = 300, more than the searches' 90 + 25 and 240 + 29, so the orbit
+    # charge sets the last guard
     cases = [
-        ({"type": "bipartiteA", "n": 1}, 36, 136),
-        ({"type": "A", "orientation": "RR"}, 90, 300),
+        ({"type": "bipartiteA", "n": 1}, 90, 136),
+        ({"type": "A", "orientation": "RR"}, 240, 300),
     ]
     for quiver, cells, charge in cases:
         argv = ["poset", "--quiver", write(tmp_path, "q.json", quiver), "--dims", "1,1,1"]
@@ -445,18 +446,31 @@ def test_poset_charges_the_rank_tables_before_building_nodes(tmp_path, capsys):
 
 
 def test_poset_charges_the_fields_of_each_node(tmp_path, capsys):
-    # bipartite n = 222, dims 1 on the last 12 vertices: 2,048 orbits, each
-    # node filling 2 * 99,235 rank and lace fields and 445**2 block ranks,
-    # so the 26th orbit is refused before its node is built; most of the
-    # time goes to packing the search's 78 * 99,235 weight cells
-    n = 222
+    # bipartite n = 222 with dims 1 on the last 12 vertices, and n = 39 with
+    # dims all 1: the search would pack 78 rows of 99,235 rank cells and
+    # 445**2 block counts, and 3,160 rows of 3,160 + 79**2, and refuses
+    # before packing any
+    cases = [(222, ["0"] * 433 + ["1"] * 12, 23186280), (39, ["1"] * 79, 29707160)]
+    for n, dims, cells in cases:
+        quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": n})
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, ["poset", "--quiver", quiver, "--dims", ",".join(dims)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert f"lace search packs {cells} weight cells, more than 10000000" in err
+    # at n = 30 the search's 78 * (1,891 + 61**2) cells fit; each node fills
+    # 2 * 1,891 + 61**2 = 7,503 fields, which refuse the 1,139th of the
+    # 2,048 orbits, whose pairs and rank tables alone would charge only
+    # 2,048 * (2,048 + 12**2) = 4,489,216
+    n = 30
     quiver = write(tmp_path, "q.json", {"type": "bipartiteA", "n": n})
-    dims = ",".join(["0"] * (2 * n + 1 - 12) + ["1"] * 12)
-    start = time.perf_counter()
-    code, out, err = run_main(capsys, ["poset", "--quiver", quiver, "--dims", dims])
-    assert time.perf_counter() - start < 30.0
+    argv = ["poset", "--quiver", quiver, "--dims", ",".join(["0"] * (2 * n + 1 - 12) + ["1"] * 12)]
+    code, out, err = run_main(capsys, argv)
     assert code == 3 and out == ""
-    assert "26 orbits give 676 pairs, 3744 rank-table cells and 10308870 node fields" in err
+    assert "1139 orbits give 1297321 pairs, 164016 rank-table cells and 8545917 node fields" in err
+    code, out, err = run_main(capsys, argv + ["--guard", str(1139 * (1139 + 144 + 7503))])
+    assert code == 3 and out == ""
+    assert "1140 orbits give 1299600 pairs" in err
 
 
 def test_decompose_builds_no_table_per_interval_pair(tmp_path, capsys):

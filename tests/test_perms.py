@@ -19,7 +19,7 @@ from qloci import (
 )
 from qloci.errors import InputError, ShapeError
 from qloci.oracle import bruhat_via_covers
-from qloci.perms import packed_rank_tables, rank_table
+from qloci.perms import packed_rank_tables, permutation_from_counts, rank_table
 from qloci.quiver import pack_fields
 from qloci.poset import enumerate_orbits
 from qloci.zelevinsky import block_rank_symbolic
@@ -234,6 +234,8 @@ def test_block_sizes_must_partition_one_total():
         zelevinsky_permutation(b, (1, 1, 1), (1, 1, 2))
     with pytest.raises(ShapeError, match="block spec does not match the block rank matrix"):
         zelevinsky_permutation(b, (1, 2), (1, 2))
+    with pytest.raises(ShapeError, match="block spec does not match the block counts"):
+        permutation_from_counts((1, 0, 0, 0, 1, 0, 0, 0), (1, 1, 1), (1, 1, 1))
     with pytest.raises(ShapeError, match="row and column blocks partition different totals"):
         is_block_minimal(Permutation.identity(3), (2, 1), (2, 2))
     with pytest.raises(ShapeError, match="block spec does not match the permutation size"):

@@ -152,20 +152,22 @@ def test_default_guard_admits_small_instance_with_huge_product_bound():
 
 
 def test_guard_counts_visited_search_nodes():
-    # the search over the 6 intervals of n=1 packs 6 weight rows of 6 cells
-    # and visits 25 nodes for dims 1,1,1, all on one count
+    # the search over the 6 intervals of n=1 packs 6 rows of 6 rank cells
+    # and 3**2 block counts, and visits 25 nodes for dims 1,1,1, all on one
+    # count
     q, d = BipartiteQuiver(1), DimensionVector.of(1, 1, 1)
-    assert len(list(iter_lace_values(q, d, guard=61))) == 4
-    with pytest.raises(GuardExceededError, match="36 weight cells and visits 25 nodes"):
-        list(iter_lace_values(q, d, guard=60))
+    assert len(list(iter_lace_values(q, d, guard=115))) == 4
+    with pytest.raises(GuardExceededError, match="90 weight cells and visits 25 nodes"):
+        list(iter_lace_values(q, d, guard=114))
 
 
 def reference_lace_values(q, dims):
     """The lace search as a recursive generator: depth-first over intervals
     sorted by (lo, hi), each multiplicity from its cap down to 0, a node cut
     once the scan passes a vertex with capacity left.  Returns the yielded
-    tuples and the search's cost: the nodes visited plus the weight cells,
-    one per interval for each interval over positive dims."""
+    tuples and the search's cost: the nodes visited plus the packed cells,
+    one per interval and one per block for each interval over positive
+    dims."""
     check_dims(q, dims)
     table = interval_table(q.n)
     order = sorted(range(len(table)), key=lambda i: (table.intervals[i].lo, table.intervals[i].hi))
@@ -202,7 +204,7 @@ def reference_lace_values(q, dims):
 
     found = list(rec(0, 0))
     live = sum(1 for lo, hi in spans if min(dims.values[lo : hi + 1]) > 0)
-    return found, visited + live * len(table)
+    return found, visited + live * (len(table) + len(dims) ** 2)
 
 
 def test_lace_search_matches_the_recursive_reference():
@@ -358,3 +360,85 @@ def test_enumerate_orbits_charges_no_pairs():
     # alone: 65,213 orbits would give about 4.25e9 pairs
     q, d = BipartiteQuiver(4), DimensionVector.of(2, 3, 2, 3, 2, 3, 2, 3, 2)
     assert len(enumerate_orbits(q, d, guard=10**9)) == 65_213
+
+
+def test_carried_block_counts_match_the_symbolic_route():
+    # the block counts the lace search carries, summed from those of each
+    # indecomposable, against the second differences of each orbit's
+    # symbolic block rank matrix; each node's permutation against the
+    # symbolic route and its length against its inversions.  The vectors
+    # are those of criterion 2 and n = 3 with dims 3^7 (24,180 orbits)
+    from itertools import product
+
+    from qloci import block_rank_symbolic, layout_for, zelevinsky_permutation
+    from qloci.perms import block_counts
+    from qloci.poset import _lace_search
+    from qloci.quiver import unpack_fields
+
+    cases = [
+        (n, dims) for n in (0, 1, 2) for dims in product(range(3), repeat=2 * n + 1)
+    ] + [(3, (3,) * 7)]
+    for n, dims in cases:
+        q, d = BipartiteQuiver(n), DimensionVector(dims)
+        table = interval_table(n)
+        count, nb = len(table), 2 * n + 1
+        carried = {}
+        for _, packed, width in _lace_search(table, d, 10**9):
+            fields = unpack_fields(packed, width, count + nb * nb)
+            carried[fields[:count]] = fields[count:]
+        lay = layout_for(q, d)
+        nodes = enumerate_orbits(q, d, guard=10**9)
+        assert len(nodes) == len(carried)
+        for node in nodes:
+            b = block_rank_symbolic(node.rank, d)
+            assert carried[node.rank.values] == block_counts(b)
+            assert node.permutation == zelevinsky_permutation(b, lay.row_sizes, lay.col_sizes)
+            assert node.length == inversion_length(node.permutation)
+            assert node.dimension == d_x(d) * d_y(d) - node.length
+    assert len(nodes) == 24_180  # the last case, 3^7
+
+
+def test_build_poset_nodes_match_the_symbolic_route():
+    # through the bipartite double, restricted to the open locus: each
+    # node's permutation against the symbolic route on the double and its
+    # length against its inversions
+    from itertools import product
+
+    from qloci import TypeAQuiver, block_rank_symbolic, layout_for, zelevinsky_permutation
+
+    checked = 0
+    for word in ("RR", "RRLL", "LRRL"):
+        q = TypeAQuiver(word)
+        for dims in product(range(3), repeat=len(word) + 1):
+            poset = build_poset(q, DimensionVector(dims))
+            lay = layout_for(poset.quiver, poset.dims)
+            for node in poset.nodes:
+                b = block_rank_symbolic(node.rank, poset.dims)
+                assert node.permutation == zelevinsky_permutation(
+                    b, lay.row_sizes, lay.col_sizes
+                )
+                assert node.length == inversion_length(node.permutation)
+                checked += 1
+    assert checked == 4_552
+
+
+def test_no_orbit_rebuilds_its_block_counts(monkeypatch):
+    # once the packed rows of (n, field width) are built, the orbits come
+    # from the carried counts alone: no block rank matrix, second
+    # difference or block-rank length per orbit
+    q, d = BipartiteQuiver(2), DimensionVector.of(1, 2, 2, 1, 1)
+    expected = enumerate_orbits(q, d)
+
+    def refuse(*args):
+        raise AssertionError("an orbit rebuilt its block counts")
+
+    for target in (
+        "qloci.poset.block_rank_symbolic",
+        "qloci.poset.block_counts",
+        "qloci.zelevinsky.block_rank_symbolic",
+        "qloci.perms.block_counts",
+        "qloci.perms.zelevinsky_permutation",
+        "qloci.perms.length_from_blocks",
+    ):
+        monkeypatch.setattr(target, refuse)
+    assert enumerate_orbits(q, d) == expected

@@ -336,10 +336,10 @@ def test_open_locus_search_matches_the_post_filter(word, dims):
 
 def test_open_locus_guard_counts_only_the_restricted_search():
     # RRRR 2^5: the double has 5,875 orbits, found in 48,299 search nodes;
-    # the search for the 125 orbits of the open locus packs 675 weight cells
-    # (15 allowed rows of 45 intervals) and visits 980 nodes, and the orbits
-    # charge 15,625 pairs, 125 rank tables of 16 x 16 cells and 125 nodes of
-    # 2 * 45 + 9**2 = 171 fields
+    # the search for the 125 orbits of the open locus packs 1,890 cells
+    # (15 allowed rows of 45 rank cells and 9**2 block counts) and visits
+    # 980 nodes, and the orbits charge 15,625 pairs, 125 rank tables of
+    # 16 x 16 cells and 125 nodes of 2 * 45 + 9**2 = 171 fields
     from qloci import GuardExceededError, build_poset
 
     ctx = bipartite_double(TypeAQuiver("RRRR"))
@@ -348,14 +348,19 @@ def test_open_locus_guard_counts_only_the_restricted_search():
     # the search passes that guard, and the charge exceeds it at the last orbit kept
     with pytest.raises(GuardExceededError, match="125 orbits give 15625 pairs, 32000 rank"):
         build_poset(ctx.source, d, guard=68_999)
-    # RRRR 1^5: the same 675 weight cells, then 153 nodes for the open
-    # locus's 16 orbits, which charge 16 * (16 + 8**2 + 171) = 4,016; under
-    # a guard of 700 the 26th node comes before the 3rd orbit
+    # RRRR 1^5: the same 1,890 cells, then 153 nodes for the open locus's
+    # 16 orbits, which charge 16 * (16 + 8**2 + 171) = 4,016; under a guard
+    # of 1,915 the 26th node comes before the 8th orbit, whose charge is
+    # 8 * (8 + 8**2 + 171) = 1,944
     d = DimensionVector.of(1, 1, 1, 1, 1)
     assert len(build_poset(ctx.source, d, guard=4_016).nodes) == 16
     with pytest.raises(GuardExceededError, match="16 orbits give 256 pairs, 1024 rank"):
         build_poset(ctx.source, d, guard=4_015)
-    with pytest.raises(GuardExceededError, match="675 weight cells and visits 26 nodes"):
-        build_poset(ctx.source, d, guard=700)
-    with pytest.raises(GuardExceededError, match="packs 675 weight cells, more than 674"):
-        build_poset(ctx.source, d, guard=674)
+    with pytest.raises(GuardExceededError, match="1890 weight cells and visits 27 nodes"):
+        build_poset(ctx.source, d, guard=1_916)
+    with pytest.raises(GuardExceededError, match="1890 weight cells and visits 26 nodes"):
+        build_poset(ctx.source, d, guard=1_915)
+    with pytest.raises(GuardExceededError, match="1890 weight cells and visits 1 nodes"):
+        build_poset(ctx.source, d, guard=1_890)
+    with pytest.raises(GuardExceededError, match="packs 1890 weight cells, more than 1889"):
+        build_poset(ctx.source, d, guard=1_889)

@@ -311,19 +311,27 @@ def test_enumerate_orbits_with_two_byte_rank_fields(dims):
 
 @pytest.mark.parametrize("dims", [(1, 300, 1), (1, 70_000, 2)])
 def test_lace_search_packs_wide_rank_fields(dims):
-    # the packed rank arrays the search carries in two- and three-byte fields
-    # (the permutations of these dims are too large to enumerate orbits)
+    # the packed rank arrays and block counts the search carries in two- and
+    # three-byte fields, against the weight formula and the symbolic block
+    # ranks (the permutations of these dims are too large to enumerate orbits)
+    from qloci.perms import block_counts
     from qloci.poset import _lace_search
     from qloci.quiver import unpack_fields
+    from qloci.zelevinsky import block_rank_symbolic
 
     d = DimensionVector(dims)
     table = interval_table((len(dims) - 1) // 2)
+    count, blocks = len(table), len(dims) ** 2
     found = 0
     for values, packed, width in _lace_search(table, d, 10**7):
         assert 256**width > sum(dims) >= 256 ** (width - 1) >= 256
+        assert packed < 256 ** (width * (count + blocks))
         s = LaceArray(table.n, values)
         assert s.dims() == d
-        assert unpack_fields(packed, width, len(table)) == weighted_rank_sum(s)
+        fields = unpack_fields(packed, width, count + blocks)
+        assert fields[:count] == weighted_rank_sum(s)
+        r = RankArray(table.n, fields[:count])
+        assert fields[count:] == block_counts(block_rank_symbolic(r, d))
         found += 1
     assert found > 0
 
