@@ -9,7 +9,7 @@ machinery it validates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
+from itertools import permutations as iter_permutations, product
 
 from .errors import GuardExceededError, InputError, InternalCheckError
 from .fields import PrimeField
@@ -37,19 +37,12 @@ def iter_reps(q, dims: DimensionVector, p: int, ceiling: int = DEFAULT_POINT_GUA
     # huge power is never formed
     if total_entries >= ceiling.bit_length() or p**total_entries > ceiling:
         raise GuardExceededError(f"{p}^{total_entries} points exceed the ceiling {ceiling}")
-    count = p**total_entries
     shapes = [(dims[h], dims[t]) for h, t in q.arrows]
-    for code in range(count):
-        digits = []
-        c = code
-        for _ in range(total_entries):
-            c, r = divmod(c, p)
-            digits.append(r)
-        digits.reverse()
+    for digits in product(range(p), repeat=total_entries):
         mats = []
         pos = 0
         for rows, cols in shapes:
-            data = [digits[pos + i * cols : pos + (i + 1) * cols] for i in range(rows)]
+            data = [list(digits[pos + i * cols : pos + (i + 1) * cols]) for i in range(rows)]
             pos += rows * cols
             mats.append(ExactMatrix(field, rows, cols, data))
         yield Representation(q, dims, tuple(mats))

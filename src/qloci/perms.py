@@ -1,14 +1,16 @@
 """Permutation combinatorics: lengths, diagrams, essential sets, Bruhat
 order, and the block-structured permutation attached to a block rank matrix.
 
-The block permutation takes two steps: `block_counts` reads the number of
-1s in each block off the block rank matrix as second differences, and
-`permutation_from_counts`, the one greedy fill, places them.  The orbit
-enumeration carries each orbit's block counts through its search, so it
-takes only the second step, with `length_from_counts` for the length;
-`zelevinsky_permutation` and `length_from_blocks` start from a block rank
-matrix.  The block permutation functions take plain row and column block
-sizes; `zelevinsky.BlockLayout` owns the block order and sizes of the cell.
+The block permutation takes two steps: `block_counts`, the one
+second-difference routine, reads the number of 1s in each block off the
+block rank matrix, and `permutation_from_counts`, the one greedy fill,
+places them; `length_from_counts` gives the length.  The orbit enumeration
+carries each orbit's block counts, its lacing diagram
+(`zelevinsky.lacing_counts`), through its search, so it takes only the
+second step; `zelevinsky_permutation` and `length_from_blocks` start from a
+block rank matrix, such as the numeric one of an embedded representation.
+The block permutation functions take plain row and column block sizes;
+`zelevinsky.BlockLayout` owns the block order and sizes of the cell.
 """
 
 from __future__ import annotations
@@ -212,22 +214,8 @@ def length_from_counts(counts, nb: int) -> int:
 
 def length_from_blocks(b) -> int:
     """Length of the block permutation straight from the block rank matrix:
-    over all blocks, (1s strictly northeast) times (1s inside).
-
-    The block count of (i, j) is the second difference of rows i-1 and i;
-    the 1s strictly northeast of it number prev[-1] - prev[j].
-    """
-    rows = b.entries
-    total = 0
-    for prev, cur in zip(rows, rows[1:]):
-        last = prev[-1]
-        left = up_left = 0
-        for here, up in zip(cur, prev[:-1]):
-            ne = last - up
-            if ne:
-                total += ne * (here + up_left - left - up)
-            left, up_left = here, up
-    return total
+    `length_from_counts` of its `block_counts`."""
+    return length_from_counts(block_counts(b), 2 * b.n + 1)
 
 
 def is_block_minimal(p: Permutation, row_sizes, col_sizes) -> bool:

@@ -15,7 +15,6 @@ from .fields import PrimeField, DEFAULT_SAMPLING_PRIME
 from .matrices import ExactMatrix
 from .perms import (
     Permutation,
-    block_counts,
     length_from_counts,
     packed_rank_tables,
     permutation_from_counts,
@@ -35,7 +34,7 @@ from .quiver import (
 )
 from .reduction import bipartite_double, lift_dimension
 from .reps import LaceArray, RankArray, Representation, rank_array
-from .zelevinsky import block_rank_symbolic, layout_for
+from .zelevinsky import lacing_counts, layout_for
 
 # Ceiling on the lace-search nodes visited; the search visits a few nodes
 # per orbit it finds (about 8 for dims 3^5 or 2^7).
@@ -84,19 +83,21 @@ def _packed_row(n: int, slot: int, width: int) -> int:
     """What one copy of the indecomposable I_J on interval ``slot`` adds to
     an orbit's packed row: its rank array, `IntervalTable.packed_weight`,
     followed in the same integer and field width by its (2n+1)**2 block
-    counts, `block_counts` of its symbolic block rank matrix.
+    counts, the `lacing_counts` of the unit lace array at ``slot``: the one
+    cycle lo -> lo+1 -> ... -> hi -> lo of J.
 
-    Offsets, ranks and so block counts are linear in the lace array, so an
-    orbit's counts are the sum of these over its summands; each is at most
-    sum(dims), which the field width holds.  Built once per (n, slot, width).
+    Ranks and block counts are linear in the lace array, so an orbit's
+    counts are the sum of these over its summands, its lacing diagram; each
+    is at most sum(dims), which the field width holds.  Built once per (n,
+    slot, width).
     """
     table = interval_table(n)
     count = len(table)
     weight = table.packed_weight(slot, width)
-    lo, hi = table.spans[slot]
-    dims = DimensionVector(tuple(int(lo <= p <= hi) for p in range(table.vertex_count)))
-    b = block_rank_symbolic(RankArray(n, unpack_fields(weight, width, count)), dims)
-    return weight | pack_row(block_counts(b), width) << 8 * width * count
+    unit = [0] * count
+    unit[slot] = 1
+    counts = lacing_counts(n, unit, unpack_fields(weight, width, count))
+    return weight | pack_row(counts, width) << 8 * width * count
 
 
 def _lace_search(table, dims: DimensionVector, guard: int, allowed: int = -1):

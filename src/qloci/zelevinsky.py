@@ -4,8 +4,12 @@ A representation is sent to the d x d matrix [[M, 1],[1, 0]] whose northwest
 quadrant is the snake matrix collecting all arrow maps.  Ranks of the
 northwest-justified block submatrices form the block rank matrix, computable
 two ways: numerically from the embedded matrix, or symbolically from the
-rank array alone.  The two routes agree on every representation; the
-symbolic one is the production path and the numeric one the validator.
+rank array alone, through the lacing diagram.  The rank array gives the
+multiplicities of M = sum of I_[lo,hi]^m (`reps.rank_to_lace`); each block
+of the block permutation holds one multiplicity or one one-arrow rank
+(`lacing_counts`), and the block ranks are the 2-D prefix sums of those
+counts.  The two routes agree on every representation; the symbolic one is
+the production path and the numeric one the validator.
 
 `BlockLayout` owns the block order and sizes of the cell; everything else
 (the block permutation in `perms`, the text rendering in `cli`) takes them
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from operator import add
 
 from .errors import InputError, ShapeError
 from .matrices import ExactMatrix, prefix_block_ranks
@@ -30,7 +35,7 @@ from .quiver import (
     interval_table,
     vertex_name,
 )
-from .reps import RankArray, Representation, assemble_interval_matrix
+from .reps import RankArray, Representation, assemble_interval_matrix, rank_to_lace
 
 
 @dataclass(frozen=True)
@@ -73,19 +78,11 @@ class BlockLayout:
 
     @property
     def row_cuts(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for s in self.row_sizes:
-            acc += s
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(self.row_sizes))
 
     @property
     def col_cuts(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for s in self.col_sizes:
-            acc += s
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(self.col_sizes))
 
     def row_vertex(self, i: int) -> str:
         """Vertex label of numeric block row i (1-based)."""
@@ -174,22 +171,6 @@ class BlockRankMatrix:
         if len(self.entries) != k or any(len(r) != k for r in self.entries):
             raise InputError("block rank matrix has the wrong shape")
 
-    def entry(self, i: int, j: int) -> int:
-        """1-based access; indices outside [1, 2n+1] read as 0."""
-        k = 2 * self.n + 1
-        if i < 1 or j < 1 or i > k or j > k:
-            return 0
-        return self.entries[i - 1][j - 1]
-
-    def block_count(self, i: int, j: int) -> int:
-        """Second difference: the prescribed number of 1s in block (i, j)."""
-        return (
-            self.entry(i, j)
-            + self.entry(i - 1, j - 1)
-            - self.entry(i, j - 1)
-            - self.entry(i - 1, j)
-        )
-
     def to_json(self) -> dict:
         return {"n": self.n, "entries": [list(r) for r in self.entries]}
 
@@ -201,92 +182,60 @@ def block_rank_numeric(z: ZelevinskyCellMatrix) -> BlockRankMatrix:
     return BlockRankMatrix(lay.n, grid)
 
 
-def _block_formula(n: int, i: int, j: int):
-    """Closed form for block (i, j): an offset plus the rank of one interval.
-
-    Identity blocks present in the northwest-justified submatrix pivot away
-    whole block rows/columns and contribute the offset, the dimensions of
-    x_kx..x_n and of y_0..y_my; what remains of the snake is the staircase
-    matrix of a single interval, returned as an edge span (empty when
-    lo > hi).  Specializing over the four quadrants gives the forced cell
-    values, the forced image values, and the four orbit families with their
-    dimension offsets.
-
-    Nothing here depends on the orbit or the dimensions, only on n:
-    `_block_plan` reads each offset from prefix sums of the dimensions.
-    """
-    # rows present: y_0..y_ytop, and x_k for k >= xlow (xlow = n+1 means none)
-    if i <= n + 1:
-        ytop, xlow = i - 1, n + 1
-    else:
-        ytop, xlow = n, 2 * n + 2 - i
-    # cols present: x_k for k >= xcollow, and y_0..y_ycoltop (-1 means none)
-    if j <= n:
-        xcollow, ycoltop = n + 1 - j, -1
-    else:
-        xcollow, ycoltop = 1, j - n - 1
-    kx = max(xlow, xcollow)
-    my = min(ytop, ycoltop)
-    rlo, rhi = my + 1, ytop
-    clo, chi = xcollow, kx - 1
-    edge_lo = max(2 * rlo, 2 * clo - 1)
-    edge_hi = min(2 * rhi + 1, 2 * chi)
-    return kx, my, edge_lo, edge_hi
-
-
 @lru_cache(maxsize=1)
-def _block_shape(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """`_block_formula` for every block, as a (2n+1) x (2n+1) table of
-    (kx, my, rank slot) triples.
+def _lacing_slots(n: int) -> tuple[int, ...]:
+    """For each block, flattened row by row, the index into
+    ``lace + rank + (0,)`` of its count, as `lacing_counts` reads it.
 
-    The slot indexes the rank array; -1 means the interval is empty and its
-    rank is forced to 0.  The shape depends on n alone, so the plans of
-    every dimension vector at one n share it; only the latest n is kept.
+    Block (row vertex a, column vertex b) holds m_[b,a] when b <= a and
+    r_[a,a+1] when b = a+1; every other block reads the trailing 0 (index
+    -1).  The table depends on n alone; only the latest n is kept.
     """
     table = interval_table(n)
-    k = 2 * n + 1
-    shape = []
-    for i in range(1, k + 1):
-        row = []
-        for j in range(1, k + 1):
-            kx, my, elo, ehi = _block_formula(n, i, j)
-            row.append((kx, my, table.rank_slot_of_span(elo - 1, ehi)))
-        shape.append(tuple(row))
-    return tuple(shape)
+    count = len(table)
+    lay = BlockLayout(n, DimensionVector((0,) * table.vertex_count))
+    slots = []
+    for a in lay.row_positions:
+        for b in lay.col_positions:
+            if b <= a:
+                slots.append(a if b == a else table.rank_slot_of_span(b, a))
+            elif b == a + 1:
+                slots.append(count + table.rank_slot_of_span(a, b))
+            else:
+                slots.append(-1)
+    return tuple(slots)
 
 
-@lru_cache(maxsize=1)
-def _block_plan(n: int, dims: DimensionVector) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The block plan: a (2n+1) x (2n+1) table of (offset, rank slot)
-    pairs, the slots those of `_block_shape`.
+def lacing_counts(n: int, lace, rank) -> tuple[int, ...]:
+    """The block counts of the orbit with this lace array and rank array:
+    the number of 1s in each of the (2n+1) x (2n+1) blocks of its block
+    permutation, flattened row by row.
 
-    Each offset, the dims of x_kx..x_n plus those of y_0..y_my, is read
-    from prefix sums of the x and y dimensions, so the plan costs O(n**2).
-    Only the latest (n, dims) is kept, since callers sweep the orbits of
-    one dimension vector at a time.
+    They are its lacing diagram: each indecomposable on [lo, hi] puts one
+    1 on the cycle lo -> lo+1 -> ... -> hi -> lo, in blocks (a, a+1) for
+    lo <= a < hi and in block (hi, lo), so block (a, b) counts the summands
+    on [b, a] when b <= a and those through the arrow a -> a+1, the rank
+    r_[a,a+1], when b = a+1.
     """
-    xs = list(accumulate(dims.values[1::2], initial=0))  # xs[k]: x_1..x_k
-    ys = list(accumulate(dims.values[0::2], initial=0))  # ys[m]: y_0..y_{m-1}
-    top = xs[n]
-    return tuple(
-        tuple([(top - xs[kx - 1] + ys[my + 1], slot) for kx, my, slot in row])
-        for row in _block_shape(n)
-    )
+    vals = (*lace, *rank, 0)
+    return tuple([vals[slot] for slot in _lacing_slots(n)])
 
 
 def block_rank_symbolic(r: RankArray, dims: DimensionVector) -> BlockRankMatrix:
-    """Fill the block rank matrix from the rank array alone.
+    """Fill the block rank matrix from the rank array alone: the 2-D prefix
+    sums of the block counts `lacing_counts` reads off the lacing diagram,
+    the lace array `rank_to_lace` recovers from (r, dims).
 
-    Entry (i, j) is offset + r[slot] for the (offset, slot) pair of the
-    block plan of (n, dims), with slot -1 reading 0.  The plan is cached for
-    the latest (n, dims), so a sweep over the orbits of one dimension vector
-    costs one pass over it per orbit.
+    A rank array with a negative multiplicity raises NotARankArrayError.
     """
     n = r.n
     if len(dims) != 2 * n + 1:
         raise InputError("dimension vector does not match the rank array")
-    vals = (*r.values, 0)  # slot -1 reads the trailing 0
-    plan = _block_plan(n, dims)
-    return BlockRankMatrix(
-        n, tuple([tuple([offset + vals[slot] for offset, slot in row]) for row in plan])
-    )
+    counts = lacing_counts(n, rank_to_lace(r, dims).values, r.values)
+    k = len(dims)
+    rows = []
+    above = (0,) * k
+    for start in range(0, k * k, k):
+        above = tuple(map(add, above, accumulate(counts[start : start + k])))
+        rows.append(above)
+    return BlockRankMatrix(n, tuple(rows))

@@ -362,12 +362,26 @@ def test_enumerate_orbits_charges_no_pairs():
     assert len(enumerate_orbits(q, d, guard=10**9)) == 65_213
 
 
+def numeric_permutation(q, lace, lay):
+    """The block permutation of the embedded direct sum over GF(2) with the
+    given lace array, from its numerically ranked blocks."""
+    from qloci import GF2, block_rank_numeric, rep_from_lace, zelevinsky_map, zelevinsky_permutation
+
+    b = block_rank_numeric(zelevinsky_map(rep_from_lace(q, lace, GF2)))
+    return zelevinsky_permutation(b, lay.row_sizes, lay.col_sizes)
+
+
 def test_carried_block_counts_match_the_symbolic_route():
     # the block counts the lace search carries, summed from those of each
     # indecomposable, against the second differences of each orbit's
     # symbolic block rank matrix; each node's permutation against the
     # symbolic route and its length against its inversions.  The vectors
-    # are those of criterion 2 and n = 3 with dims 3^7 (24,180 orbits)
+    # are those of criterion 2 and n = 3 with dims 3^7 (24,180 orbits).  The
+    # carried counts and the symbolic route both read `lacing_counts`, so
+    # each node's permutation is also checked against the numeric block
+    # ranks of a direct sum with its lace array: every node of the
+    # criterion-2 vectors, and a seeded sample of 2,000 of the 3^7 orbits
+    import random
     from itertools import product
 
     from qloci import block_rank_symbolic, layout_for, zelevinsky_permutation
@@ -378,6 +392,7 @@ def test_carried_block_counts_match_the_symbolic_route():
     cases = [
         (n, dims) for n in (0, 1, 2) for dims in product(range(3), repeat=2 * n + 1)
     ] + [(3, (3,) * 7)]
+    numeric = 0
     for n, dims in cases:
         q, d = BipartiteQuiver(n), DimensionVector(dims)
         table = interval_table(n)
@@ -395,13 +410,19 @@ def test_carried_block_counts_match_the_symbolic_route():
             assert node.permutation == zelevinsky_permutation(b, lay.row_sizes, lay.col_sizes)
             assert node.length == inversion_length(node.permutation)
             assert node.dimension == d_x(d) * d_y(d) - node.length
+        sample = nodes if n < 3 else random.Random(23).sample(nodes, 2_000)
+        for node in sample:
+            assert node.permutation == numeric_permutation(q, node.lace, lay)
+            numeric += 1
     assert len(nodes) == 24_180  # the last case, 3^7
+    assert numeric > 2_000
 
 
 def test_build_poset_nodes_match_the_symbolic_route():
     # through the bipartite double, restricted to the open locus: each
-    # node's permutation against the symbolic route on the double and its
-    # length against its inversions
+    # node's permutation against the symbolic route on the double and
+    # against the numeric block ranks of a direct sum with its lace array,
+    # and its length against its inversions
     from itertools import product
 
     from qloci import TypeAQuiver, block_rank_symbolic, layout_for, zelevinsky_permutation
@@ -417,6 +438,7 @@ def test_build_poset_nodes_match_the_symbolic_route():
                 assert node.permutation == zelevinsky_permutation(
                     b, lay.row_sizes, lay.col_sizes
                 )
+                assert node.permutation == numeric_permutation(poset.quiver, node.lace, lay)
                 assert node.length == inversion_length(node.permutation)
                 checked += 1
     assert checked == 4_552
@@ -424,8 +446,8 @@ def test_build_poset_nodes_match_the_symbolic_route():
 
 def test_no_orbit_rebuilds_its_block_counts(monkeypatch):
     # once the packed rows of (n, field width) are built, the orbits come
-    # from the carried counts alone: no block rank matrix, second
-    # difference or block-rank length per orbit
+    # from the carried counts alone: no lacing diagram, block rank matrix,
+    # second difference or block-rank length per orbit
     q, d = BipartiteQuiver(2), DimensionVector.of(1, 2, 2, 1, 1)
     expected = enumerate_orbits(q, d)
 
@@ -433,8 +455,8 @@ def test_no_orbit_rebuilds_its_block_counts(monkeypatch):
         raise AssertionError("an orbit rebuilt its block counts")
 
     for target in (
-        "qloci.poset.block_rank_symbolic",
-        "qloci.poset.block_counts",
+        "qloci.poset.lacing_counts",
+        "qloci.zelevinsky.lacing_counts",
         "qloci.zelevinsky.block_rank_symbolic",
         "qloci.perms.block_counts",
         "qloci.perms.zelevinsky_permutation",
@@ -442,3 +464,26 @@ def test_no_orbit_rebuilds_its_block_counts(monkeypatch):
     ):
         monkeypatch.setattr(target, refuse)
     assert enumerate_orbits(q, d) == expected
+
+
+def test_carried_count_half_is_the_cycle_of_each_interval():
+    # the block counts each packed row carries are the one cycle
+    # lo -> lo+1 -> ... -> hi -> lo of its interval: a 1 in block (a, a+1)
+    # for lo <= a < hi and in block (hi, lo), and 0 elsewhere
+    from qloci import BlockLayout
+    from qloci.poset import _packed_row
+    from qloci.quiver import unpack_fields
+
+    for n in range(9):
+        table = interval_table(n)
+        count, nb = len(table), 2 * n + 1
+        lay = BlockLayout(n, DimensionVector((1,) * nb))
+        row = {a: i for i, a in enumerate(lay.row_positions)}
+        col = {b: j for j, b in enumerate(lay.col_positions)}
+        for slot, (lo, hi) in enumerate(table.spans):
+            want = [0] * (nb * nb)
+            for a in range(lo, hi):
+                want[row[a] * nb + col[a + 1]] = 1
+            want[row[hi] * nb + col[lo]] = 1
+            fields = unpack_fields(_packed_row(n, slot, 1), 1, count + nb * nb)
+            assert list(fields[count:]) == want

@@ -19,10 +19,11 @@ from qloci import (
     zelevinsky_map,
     zero_rep,
 )
-from qloci.errors import InputError, ShapeError
+from qloci.errors import InputError, NotARankArrayError, ShapeError
+from qloci.perms import block_counts
 from qloci.oracle import iter_reps
 from qloci.quiver import Interval, d_x, d_y
-from qloci.reps import RankArray
+from qloci.reps import RankArray, rank_to_lace
 
 
 def rep1(a1, b1, field=QQ):
@@ -124,16 +125,16 @@ def test_cell_conditions_on_random_star():
                     xi, xj = (ri + 1) // 2, (cj + 1) // 2
                     if xi <= xj:
                         want = sum(d[2 * t - 1] for t in range(xj, n + 1))
-                        assert b.entry(i, j) == want
+                        assert b.entries[i - 1][j - 1] == want
                 if ri % 2 == 0 and cj % 2 == 0:
                     yi, yj = ri // 2, cj // 2
                     if yj >= yi:
                         want = sum(d[2 * t] for t in range(0, yi + 1))
-                        assert b.entry(i, j) == want
+                        assert b.entries[i - 1][j - 1] == want
         # bottom block row and last block column are fully pivoted
         assert tuple(b.entries[k - 1]) == lay.col_cuts
         assert tuple(row[k - 1] for row in b.entries) == lay.row_cuts
-        assert b.entry(k, k) == dy + dx
+        assert b.entries[k - 1][k - 1] == dy + dx
 
 
 def test_image_conditions_characterize_the_image():
@@ -172,11 +173,14 @@ def test_monotone_staircase_property():
         for v in iter_reps(q, d, 2):
             b = block_rank_numeric(zelevinsky_map(v))
             k = 2 * q.n + 1
+            # the entries with a zero row and column above and left
+            e = [(0,) * (k + 1)] + [(0, *row) for row in b.entries]
+            counts = block_counts(b)
             for i in range(1, k + 1):
                 for j in range(1, k + 1):
-                    assert b.entry(i, j) >= b.entry(i - 1, j)
-                    assert b.entry(i, j) >= b.entry(i, j - 1)
-                    assert b.block_count(i, j) >= 0
+                    assert e[i][j] >= e[i - 1][j]
+                    assert e[i][j] >= e[i][j - 1]
+                    assert counts[(i - 1) * k + j - 1] >= 0
             count += 1
             if count > 200:
                 break
@@ -205,11 +209,12 @@ def random_gf2_rep(q, d, rng):
     return Representation(q, d, tuple(mats))
 
 
-def test_block_plan_cache_switches_dims():
-    # the plan is cached for one (n, dims) at a time: alternate two dims
+def test_block_rank_symbolic_switches_dims_and_n():
+    # the lacing slots are cached for one n at a time: alternate two dims
     # vectors of the same n, then change n, and check every result against
-    # the per-entry closed form and the numeric route
-    from qloci.zelevinsky import _block_formula, _block_plan
+    # the lacing diagram of its lace array, each summand on [lo, hi] adding
+    # the cycle lo -> lo+1 -> ... -> hi -> lo, and against the numeric route
+    from qloci.zelevinsky import _lacing_slots
 
     rng = random.Random(17)
     sequence = [
@@ -219,22 +224,28 @@ def test_block_plan_cache_switches_dims():
     for dims in sequence:
         n = (len(dims) - 1) // 2
         q, d = BipartiteQuiver(n), DimensionVector(dims)
-        table = interval_table(n)
-        k = 2 * n + 1
+        lay, k = layout_for(q, d), len(dims)
+        row = {a: i for i, a in enumerate(lay.row_positions)}
+        col = {b: j for j, b in enumerate(lay.col_positions)}
         for _ in range(3):
             v = random_gf2_rep(q, d, rng)
             r = rank_array(v)
-            want = []
-            for i in range(1, k + 1):
-                row = []
-                for j in range(1, k + 1):
-                    kx, my, elo, ehi = _block_formula(n, i, j)
-                    offset = sum(d[2 * x - 1] for x in range(kx, n + 1))
-                    offset += sum(d[2 * y] for y in range(my + 1))
-                    slot = table.rank_slot_of_span(elo - 1, ehi)
-                    row.append(offset + (r.values[slot] if slot >= 0 else 0))
-                want.append(tuple(row))
+            want = [0] * (k * k)
+            for (lo, hi), m in zip(interval_table(n).spans, rank_to_lace(r, d).values):
+                for a in range(lo, hi):
+                    want[row[a] * k + col[a + 1]] += m
+                want[row[hi] * k + col[lo]] += m
             b = block_rank_symbolic(r, d)
-            assert b.entries == tuple(want)
+            assert block_counts(b) == tuple(want)
             assert b == block_rank_numeric(zelevinsky_map(v))
-    assert _block_plan.cache_info().currsize == 1
+    assert _lacing_slots.cache_info().currsize == 1
+
+
+def test_block_rank_symbolic_refuses_an_invalid_rank_array():
+    # no lace array has these ranks: the shift formula gives the summand on
+    # [b1] a negative multiplicity, and with dims (1, 0, 1) the summands
+    # through the arrows would need more than x1's dimension 0
+    with pytest.raises(NotARankArrayError, match=r"multiplicity of \[b1\] would be -2"):
+        block_rank_symbolic(rank1(2, 0, 0), DimensionVector.of(1, 1, 1))
+    with pytest.raises(NotARankArrayError, match="vertex multiplicity at x1 would be -1"):
+        block_rank_symbolic(rank1(1, 1, 1), DimensionVector.of(1, 0, 1))
