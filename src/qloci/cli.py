@@ -13,9 +13,10 @@ each meter charges it with the work its own code does, before doing it:
 the lace search its packed rows (rank arrays and block counts) and
 visited nodes, `build_poset` the node pairs, rank tables and node fields of
 each orbit it keeps.  The intervals are bounded by MAX_INTERVALS whatever
-the guard.  The oracle guard bounds the points and the group order
-(default ``oracle.DEFAULT_POINT_GUARD``).  The other bounds are fixed, each
-checked before the work it bounds:
+the guard.  The oracle guard (default ``oracle.DEFAULT_POINT_GUARD``) is
+one budget too: `iter_reps` charges the points it builds and
+`brute_orbit_partition` its generators and closure.  The other bounds are
+fixed, each checked before the work it bounds:
 
     decompose, zelevinsky   sum(d(head) * d(tail)) over the arrows plus the
                             total dimension d <= serde.MAX_MATRIX_CELLS
@@ -326,8 +327,6 @@ def cmd_oracle(args) -> int:
     q = serde.quiver_from_json(_load_json(_need(args, "quiver", "oracle")))
     dims = _parse_dims(_need(args, "dims", "oracle"))
     p = args.p
-    checks = []
-
     ctx = bipartite_double(q)
     _check_intervals(ctx.target)
     if ctx.source == ctx.target:
@@ -335,11 +334,11 @@ def cmd_oracle(args) -> int:
     else:
         name = "lifted rank array determines orbits"
     invariant = partial(rank_array_arbitrary, ctx)
-    census = orbit_partition(q, dims, p, args.guard, args.guard)
-    checks.append((name, census.is_partitioned_by(invariant)))
-
-    total = sum(census.sizes)
-    checks.append(("orbit sizes sum to p^dim", total == p ** space_dimension(q, dims)))
+    census = orbit_partition(q, dims, p, args.guard)
+    checks = [
+        (name, census.is_partitioned_by(invariant)),
+        ("orbit sizes sum to p^dim", sum(census.sizes) == p ** space_dimension(q, dims)),
+    ]
 
     failed = [name for name, ok in checks if not ok]
     if args.format == "json":

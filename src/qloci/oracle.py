@@ -9,7 +9,9 @@ machinery it validates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations as iter_permutations, product
+from math import isqrt
 
 from .errors import GuardExceededError, InputError, InternalCheckError
 from .fields import PrimeField
@@ -18,8 +20,7 @@ from .perms import Permutation, inversion_length
 from .quiver import BipartiteQuiver, DimensionVector, check_dims
 from .reps import Representation, rank_array
 
-DEFAULT_POINT_GUARD = 2**20
-DEFAULT_GROUP_GUARD = 2**20
+DEFAULT_POINT_GUARD = DEFAULT_GROUP_GUARD = 2**20
 MAX_COVER_SYMMETRIC = 6
 
 
@@ -30,15 +31,18 @@ def space_dimension(q, dims: DimensionVector) -> int:
 
 def iter_reps(q, dims: DimensionVector, p: int, ceiling: int = DEFAULT_POINT_GUARD):
     """Yield every point of the representation space over F_p, in
-    lexicographic order of the concatenated entry lists."""
+    lexicographic order of the concatenated entry lists.  Before any point is
+    built, the ceiling is charged p^E x (1 + A + R) for E entries, and per point
+    a Representation, its A arrow matrices and their R = sum d(head) rows."""
     field = PrimeField(p)
-    total_entries = space_dimension(q, dims)
+    entries = space_dimension(q, dims)
+    shapes = [(dims[h], dims[t]) for h, t in q.arrows]
+    per_point = 1 + len(shapes) + sum(rows for rows, _ in shapes)
     # p**e >= 2**e exceeds the ceiling once e reaches its bit length, so a
     # huge power is never formed
-    if total_entries >= ceiling.bit_length() or p**total_entries > ceiling:
-        raise GuardExceededError(f"{p}^{total_entries} points exceed the ceiling {ceiling}")
-    shapes = [(dims[h], dims[t]) for h, t in q.arrows]
-    for digits in product(range(p), repeat=total_entries):
+    if entries >= ceiling.bit_length() or p**entries * per_point > ceiling:
+        raise GuardExceededError(f"{p}^{entries} points x {per_point} objects exceed {ceiling}")
+    for digits in product(range(p), repeat=entries):
         mats = []
         pos = 0
         for rows, cols in shapes:
@@ -78,18 +82,23 @@ def gl_generators(k: int, p: int):
     return gens
 
 
+@cache
 def _primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = (x * g) % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise InputError(f"no primitive root mod {p}")
+    """The least generator of F_p^*: the least g with g^((p-1)/f) != 1 for
+    every prime f of p - 1, the primes found by trial division."""
+    primes, m, f = set(), p - 1, 2
+    while f * f <= m:
+        if m % f:
+            f += 1
+        else:
+            primes.add(f)
+            m //= f
+    if m > 1:
+        primes.add(m)
+    g = 1
+    while any(pow(g, (p - 1) // f, p) == 1 for f in primes):
+        g += 1
+    return g
 
 
 def gl_elements(k: int, p: int):
@@ -155,17 +164,6 @@ def _mat_mul(a, b, p):
     )
 
 
-def _check_group_order(dims: DimensionVector, p: int, ceiling: int):
-    # |GL_k(F_p)| >= 2**(k*(k-1)), so a large k exceeds the ceiling unevaluated
-    if any(k * (k - 1) >= ceiling.bit_length() for k in dims):
-        raise GuardExceededError(f"the group order exceeds the ceiling {ceiling}")
-    group_size = 1
-    for k in dims:
-        group_size *= gl_order(k, p)
-    if group_size > ceiling:
-        raise GuardExceededError(f"group order {group_size} exceeds the ceiling {ceiling}")
-
-
 def brute_orbit_partition(
     points,
     q,
@@ -176,12 +174,18 @@ def brute_orbit_partition(
     """Partition the points into base-change orbits.
 
     The orbit of a point is closed under a generating set of the product
-    group, which reaches exactly the full-group sweep's partition; the group
-    order guard keeps requests sane.
+    group, which reaches exactly the full-group sweep's partition.  The
+    ceiling is charged 3 * sum k^3 before the generators are built (at most 3
+    per vertex of dimension k, each with its Gauss-Jordan inverse), plus
+    isqrt(p) for the root search when some k > 0, then points x generators
+    before the closure, which applies every generator to every point once.
     """
+    PrimeField(p)  # a typed refusal of a bad p, before isqrt(p) is charged
     check_dims(q, dims)
     specs = q.arrows
-    _check_group_order(dims, p, ceiling)
+    setup = 3 * sum(k**3 for k in dims) + (isqrt(p) if any(dims) else 0)
+    if setup > ceiling:
+        raise GuardExceededError(f"{setup} generator entries and root steps exceed {ceiling}")
 
     # per-vertex generator actions: (vertex, g, g_inverse) as raw tuples
     actions = []
@@ -190,6 +194,10 @@ def brute_orbit_partition(
             gt = tuple(tuple(row) for row in g.data)
             gi = tuple(tuple(row) for row in g.inverse().data)
             actions.append((z, gt, gi))
+    if setup + len(points) * len(actions) > ceiling:
+        raise GuardExceededError(
+            f"{len(points)} points x {len(actions)} generators + {setup} exceed {ceiling}"
+        )
 
     keys = [_tuple_mats(rep) for rep in points]
     index_of = {key: i for i, key in enumerate(keys)}
@@ -226,26 +234,18 @@ def brute_orbit_partition(
     return OrbitCensus(p, q, dims, tuple(points), tuple(orbits))
 
 
-def orbit_partition(q, dims: DimensionVector, p: int, point_ceiling: int = DEFAULT_POINT_GUARD, group_ceiling: int = DEFAULT_GROUP_GUARD) -> OrbitCensus:
-    # refuse a bad p, then check the group order before any point is built:
-    # one point with a huge zero-width matrix is costly however few there are
-    PrimeField(p)
-    check_dims(q, dims)
-    _check_group_order(dims, p, group_ceiling)
-    points = list(iter_reps(q, dims, p, point_ceiling))
-    return brute_orbit_partition(points, q, dims, p, group_ceiling)
+def orbit_partition(
+    q, dims: DimensionVector, p: int, ceiling: int = DEFAULT_POINT_GUARD
+) -> OrbitCensus:
+    """The census of the whole space: both meters charge the one ceiling."""
+    return brute_orbit_partition(list(iter_reps(q, dims, p, ceiling)), q, dims, p, ceiling)
 
 
 def verify_rank_determines_orbit(
-    q: BipartiteQuiver,
-    dims: DimensionVector,
-    p: int,
-    point_ceiling: int = DEFAULT_POINT_GUARD,
-    group_ceiling: int = DEFAULT_GROUP_GUARD,
+    q: BipartiteQuiver, dims: DimensionVector, p: int, ceiling: int = DEFAULT_POINT_GUARD
 ) -> bool:
     """True iff the rank-array fibers coincide with the brute orbit partition."""
-    census = orbit_partition(q, dims, p, point_ceiling, group_ceiling)
-    return census.is_partitioned_by(rank_array)
+    return orbit_partition(q, dims, p, ceiling).is_partitioned_by(rank_array)
 
 
 def bruhat_via_covers(d_sym: int):
